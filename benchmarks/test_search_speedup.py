@@ -40,23 +40,10 @@ enumerated exhaustively.  ``test_differential_arena_leg_runs`` below
 fails — not skips — this smoke step if the arena leg ever drops out
 of the differential harness.)
 
-A fifth measurement covers the sharded coordinator
-(:mod:`repro.search.sharded`):
-
-* **sharded wall speedup** — end-to-end top-k latency of the sharded
-  engine (4 shards, inline interleaving) versus the single-arena
-  search on a clustered workload whose match set spreads across
-  disconnected star clusters.  The speedup is algorithmic, not
-  parallel: each shard's admission bounds iterate only its own
-  match-set slice, and the coordinator's bound-based cancellation
-  retires diluted shards once the global top-k list is full.  Gated on
-  exact tie-class agreement with the arena engine and on the early
-  termination actually firing.
-
 Floors asserted here (the ISSUEs' acceptance criteria): ≥3x bound
 evaluation, ≥3x candidate admission, ≥5x warm-cache latency, ≥3x
 arena admission throughput, arena peak candidate memory ≤0.5x the
-object path's, ≥2x sharded wall at 4 shards.
+object path's.
 """
 
 from __future__ import annotations
@@ -89,10 +76,6 @@ MIN_BOUND_EVAL_SPEEDUP = 3.0
 MIN_ADMISSION_SPEEDUP = 3.0
 MIN_WARM_CACHE_SPEEDUP = 5.0
 MIN_ARENA_ADMISSION_SPEEDUP = 3.0
-MIN_SHARDED_SPEEDUP = 2.0
-
-#: Shard count the sharded-coordinator floor is measured at.
-SHARDED_SHARD_COUNT = 4
 
 #: Ceiling on arena peak search memory relative to the object path.
 MAX_ARENA_MEMORY_RATIO = 0.5
@@ -492,93 +475,6 @@ def _bench_arena(system, queries: List[str]) -> Dict[str, object]:
     }
 
 
-def _clustered_system(
-    clusters: int = 8, weak_pods: int = 48, strong_pairs: int = 8,
-):
-    """Disconnected star clusters: one strong, the rest diluted.
-
-    The workload sharding is built for: the match set spreads across
-    ``clusters`` disconnected components, but every top-k answer lives
-    in cluster 0.  Weak clusters are pod chains (hub_i with one
-    alpha_i/beta_i leaf pair, hubs chained) so their answer space stays
-    linear in the match count; long filler texts dilute their
-    generation so every weak answer scores below the strong cluster's
-    k-th.  Star-cut partitioning assigns whole clusters to shards, the
-    strong shard fills the global list, and the coordinator cancels
-    the diluted shards off their frontier bounds.
-    """
-    from repro.config import RWMPParams, SearchParams
-    from repro.graph.datagraph import DataGraph
-    from repro.importance.pagerank import pagerank
-    from repro.system import CIRankSystem
-    from repro.text.inverted_index import InvertedIndex
-
-    g = DataGraph()
-    for c in range(clusters):
-        if c == 0:
-            hubs = [
-                g.add_node("movie", f"hub c{c} h{h}") for h in range(4)
-            ]
-            for a, b in zip(hubs, hubs[1:]):
-                g.add_link(a, b, 1.0, 1.0)
-            for i in range(strong_pairs):
-                alpha = g.add_node("actor", "alpha")
-                beta = g.add_node("actor", "beta")
-                g.add_link(alpha, hubs[i % len(hubs)], 1.0, 1.0)
-                g.add_link(beta, hubs[i % len(hubs)], 1.0, 1.0)
-            continue
-        filler = " ".join(f"pad{c}x{j}" for j in range(18))
-        prev_hub = None
-        for i in range(weak_pods):
-            hub = g.add_node("movie", f"weak hub c{c} p{i}")
-            alpha = g.add_node("actor", f"alpha {filler}")
-            beta = g.add_node("actor", f"beta {filler}")
-            g.add_link(alpha, hub, 1.0, 1.0)
-            g.add_link(beta, hub, 1.0, 1.0)
-            if prev_hub is not None:
-                g.add_link(prev_hub, hub, 1.0, 1.0)
-            prev_hub = hub
-    params = RWMPParams()
-    return CIRankSystem(
-        g, InvertedIndex.build(g), pagerank(g, teleport=params.teleport),
-        params,
-        SearchParams(strict_merge=False, shards=SHARDED_SHARD_COUNT),
-    )
-
-
-def _bench_sharded() -> Dict[str, object]:
-    """Sharded coordinator vs single arena on the clustered workload."""
-    system = _clustered_system()
-    system.sharded_mode = "inline"
-    query = "alpha beta"
-
-    def run(engine: str):
-        system.answer_cache.clear()
-        return system.search(query, engine=engine)
-
-    arena_answers = run("arena")
-    # First sharded run also warms the partition cache (a build-time
-    # artifact, memoized per graph version — not query work).
-    sharded_answers = run("sharded")
-    stats = system.last_search_stats
-    assert _tie_classes(sharded_answers) == _tie_classes(arena_answers), (
-        "sharded and arena engines disagree"
-    )
-    assert stats.shard_fanout == SHARDED_SHARD_COUNT
-    arena_seconds = _best_of(lambda: run("arena"))
-    sharded_seconds = _best_of(lambda: run("sharded"))
-    terminated = system.last_search_stats.shards_terminated_early
-    return {
-        "query": query,
-        "shards": SHARDED_SHARD_COUNT,
-        "answers": len(arena_answers),
-        "arena_seconds": arena_seconds,
-        "sharded_seconds": sharded_seconds,
-        "shards_terminated_early": terminated,
-        "wall_speedup": arena_seconds / sharded_seconds,
-    }
-
-
 def _record(payload: Dict[str, object], path: Path = RESULTS_PATH) -> None:
     history: List[Dict[str, object]] = []
     if path.exists():
@@ -655,52 +551,6 @@ def test_search_speedups():
         f"arena peak memory regressed: {arena['memory_ratio']:.2f}x "
         f"> {MAX_ARENA_MEMORY_RATIO}x of the object path"
     )
-
-
-def test_sharded_speedup():
-    """Sharded wall ≥ 2x the single arena at 4 shards, exactness-gated,
-    with the coordinator's early termination actually firing."""
-    sharded = _bench_sharded()
-    _record({
-        "workload": "clustered-stars",
-        "sharded": sharded,
-    })
-    print(
-        f"\nsharded coordinator: {sharded['wall_speedup']:.2f}x "
-        f"({sharded['arena_seconds']:.3f}s -> "
-        f"{sharded['sharded_seconds']:.3f}s at {sharded['shards']} "
-        f"shards, {sharded['shards_terminated_early']} terminated early)"
-    )
-    assert sharded["wall_speedup"] >= MIN_SHARDED_SPEEDUP, (
-        f"sharded coordinator regressed: {sharded['wall_speedup']:.2f}x "
-        f"< {MIN_SHARDED_SPEEDUP}x at {SHARDED_SHARD_COUNT} shards"
-    )
-    assert sharded["shards_terminated_early"] > 0, (
-        "bound-based early termination never fired — the speedup is "
-        "not coming from the coordinator's cancel rule"
-    )
-
-
-def test_differential_sharded_leg_runs():
-    """The differential harness must exercise the sharded coordinator.
-
-    A *failure* (never a skip): if the sharded legs silently dropped
-    out of :func:`repro.testing.differential_check`, the exactness
-    claim the sharded benchmark makes would rest on nothing.
-    """
-    for seed in range(20):
-        report = check_case(
-            random_case(seed),
-            check_indexes=False, check_naive=False, check_strict=False,
-        )
-        if report.trivial:
-            continue
-        if not any(e.startswith("sharded-") for e in report.engines):
-            pytest.fail(
-                "differential_check ran without its sharded legs"
-            )
-        return
-    pytest.fail("20 consecutive trivial cases — the generator is broken")
 
 
 def test_differential_arena_leg_runs():

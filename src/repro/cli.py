@@ -45,6 +45,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .config import ENGINES
 from .datasets.dblp import DblpConfig, generate_dblp
 from .datasets.imdb import ImdbConfig, generate_imdb
 from .datasets.workloads import WorkloadConfig, generate_workload
@@ -100,15 +101,6 @@ def _print_search_stats(system: CIRankSystem) -> None:
                 print(f"  candidates:      {stats.arena_candidates}")
                 print(f"  peak bytes:      {stats.arena_peak_bytes}")
                 print(f"  rollbacks:       {stats.arena_rollbacks}")
-            elif stats.engine == "sharded":
-                print(f"  shard fanout:    {stats.shard_fanout}")
-                print(
-                    f"  terminated:      {stats.shards_terminated_early}"
-                )
-                walls = " ".join(
-                    f"{wall:.4f}s" for wall in stats.shard_wall_seconds
-                )
-                print(f"  shard walls:     {walls or '-'}")
     caches = dict(system.last_cache_stats or {})
     answers_snap = caches.pop("answers", None)
     if answers_snap is not None:
@@ -180,7 +172,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         system.build_star_index(workers=args.workers)
     answers = system.search(
         args.query, k=args.k, diameter=args.diameter, engine=args.engine,
-        shards=args.shards,
     )
     if not answers:
         print("no answers")
@@ -648,7 +639,6 @@ def _plan_from_stats(args: argparse.Namespace):
     reference = PlanCandidate(
         name="reference",
         engine=defaults.engine,
-        shards=defaults.shards,
         diameter=defaults.diameter,
         answer_cache_size=int(cache.get("maxsize", 256)),
         notes=("assumed defaults; /stats carries no search config",),
@@ -693,18 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--load", default="", help="saved deployment directory"
     )
     p_search.add_argument(
-        "--engine", choices=("arena", "object", "sharded"), default="arena",
+        "--engine", choices=ENGINES, default="arena",
         help="branch-and-bound candidate representation (the flat "
              "arena is the fast default; the object path is the "
-             "reference implementation kept for bisection; sharded "
-             "partitions the graph at star-table cut points and runs "
-             "arena searches per shard with bound-based early "
-             "termination)",
-    )
-    p_search.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count for --engine sharded (defaults to the "
-             "configured count; ignored by the other engines)",
+             "reference implementation kept for bisection)",
     )
     p_search.add_argument(
         "--json", action="store_true", help="also print the ranking as JSON"
@@ -879,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query deadline override",
     )
     p_client.add_argument(
-        "--engine", choices=("arena", "object", "sharded"), default=None
+        "--engine", choices=ENGINES, default=None
     )
     p_client.add_argument(
         "--json", action="store_true", help="print the raw response JSON"

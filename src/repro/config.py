@@ -36,6 +36,9 @@ DEFAULT_GROUP_SIZE = 20.0
 DEFAULT_K = 5
 DEFAULT_DIAMETER = 4
 
+#: Candidate representations of the lazy branch-and-bound loop.
+ENGINES = ("arena", "object")
+
 
 @dataclass(frozen=True)
 class RWMPParams:
@@ -97,15 +100,9 @@ class SearchParams:
             ``"object"`` keeps the per-candidate
             :class:`~repro.search.candidate.CandidateTree` objects (the
             reference implementation the arena is differentially pinned
-            against); ``"sharded"`` partitions the graph at star-table
-            cut points and runs one arena search per shard with global
-            bound-based early termination
-            (:mod:`repro.search.sharded`).  All engines return identical
-            top-k up to tie classes.  Eager evaluation
-            (``lazy_bounds=False``) always runs the object path
-            regardless of this setting.
-        shards: shard count for ``engine="sharded"`` (ignored by the
-            single-process engines).
+            against).  Both engines return identical top-k up to tie
+            classes.  Eager evaluation (``lazy_bounds=False``) always
+            runs the object path regardless of this setting.
     """
 
     k: int = DEFAULT_K
@@ -115,7 +112,6 @@ class SearchParams:
     semantics: str = "and"
     lazy_bounds: bool = True
     engine: str = "arena"
-    shards: int = 4
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -128,13 +124,10 @@ class SearchParams:
             raise ReproError(
                 f"semantics must be 'and' or 'or', got {self.semantics!r}"
             )
-        if self.engine not in ("arena", "object", "sharded"):
+        if self.engine not in ENGINES:
             raise ReproError(
-                f"engine must be 'arena', 'object', or 'sharded', "
-                f"got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.shards < 1:
-            raise ReproError(f"shards must be >= 1, got {self.shards}")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,8 @@ from .traversal import (
 )
 from .sampling import sample_subgraph
 from .metrics import GraphStats, community_mixing, graph_stats
-from .partition import GraphPartition, ShardView, partition_graph
 
 __all__ = [
-    "GraphPartition",
-    "ShardView",
-    "partition_graph",
     "DataGraph",
     "NodeInfo",
     "CompiledGraph",

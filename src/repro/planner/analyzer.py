@@ -15,8 +15,7 @@ cost model and candidate generator consume:
   synthetic-mix distinction, and it is what a distance index (pairs or
   star) prunes for;
 * **answer shape** — observed answer-tree diameters and match-set
-  sizes, probed through the live system: decides diameter caps and
-  whether cold searches are heavy enough to shard;
+  sizes, probed through the live system: decides diameter caps;
 * **SLA** — deadline distribution of the recorded requests.
 
 Probing is bounded (``probe`` top classes for diameters, a few hundred
@@ -55,7 +54,6 @@ class WorkloadFeatures:
     keyword_skew: float = 0.0
     keyword_entropy: float = 0.0
     free_connector_ratio: float = 0.0
-    graph_nodes: int = 0
     probed_queries: int = 0
     observed_diameter: Optional[int] = None
     mean_match_size: float = 0.0
@@ -84,8 +82,6 @@ class WorkloadFeatures:
             f" (entropy {self.keyword_entropy:.2f})",
             f"  free-connector:      {self.free_connector_ratio:.2f}"
             f" over {self.probed_queries} probed classes",
-            f"  graph nodes:         "
-            + (str(self.graph_nodes) if self.graph_nodes else "unprobed"),
             f"  match size:          mean {self.mean_match_size:.1f}"
             f" max {self.max_match_size}",
             "  observed diameter:   "
@@ -185,7 +181,6 @@ def analyze_workload(
 
     # ---- connector / match shape (needs the live matcher)
     if system is not None:
-        features.graph_nodes = system.graph.node_count
         probed = 0
         connector_arrivals = 0
         weighted_arrivals = 0

@@ -1,7 +1,7 @@
 """Plan candidates and the heuristic cost model that seeds them.
 
 A :class:`PlanCandidate` is one concrete configuration over the real
-knob space: search engine + shard count, a diameter cap, graph index
+knob space: search engine, a diameter cap, graph index
 kind/horizon, answer-cache capacity, and the serving pool/batching
 knobs.  Candidates are *deltas from the running configuration* — the
 :func:`reference_candidate` mirrors what the system has now, and the
@@ -31,18 +31,12 @@ _HIT_MS = 0.1
 #: Duplicate fraction above which the answer cache is the main lever.
 _CACHE_LEVER_DUP = 0.3
 
-#: Duplicate fraction at or below which cold searches dominate and the
-#: sharded engine is worth validating.
-_SHARD_LEVER_DUP = 0.6
+#: Duplicate fraction at or above which the mix is hit-dominated and
+#: dropping the batching wait is worth validating.
+_BATCH_WAIT_LEVER_DUP = 0.6
 
 #: Free-connector ratio above which a distance index is proposed.
 _INDEX_LEVER_RATIO = 0.3
-
-#: Minimum graph size before sharding is proposed.  On a small
-#: connected graph every shard's halo ball covers nearly the whole
-#: graph, so sharding multiplies work instead of dividing it — and the
-#: bound-based early termination never fires.
-_SHARD_MIN_NODES = 512
 
 _INDEX_CLASS_KIND = {"StarIndex": "star", "PairsIndex": "pairs"}
 
@@ -53,7 +47,6 @@ class PlanCandidate:
 
     name: str
     engine: str = "arena"
-    shards: int = 4
     diameter: Optional[int] = None
     index_kind: Optional[str] = None
     index_horizon: int = 8
@@ -66,10 +59,7 @@ class PlanCandidate:
 
     def search_params(self, base: SearchParams) -> SearchParams:
         """``base`` with this candidate's search knobs applied."""
-        overrides: Dict[str, Any] = {
-            "engine": self.engine,
-            "shards": self.shards,
-        }
+        overrides: Dict[str, Any] = {"engine": self.engine}
         if self.diameter is not None:
             overrides["diameter"] = self.diameter
         return dataclasses.replace(base, **overrides)
@@ -86,7 +76,7 @@ class PlanCandidate:
     def knobs(self) -> Tuple:
         """Structural identity (everything but name/notes) for dedup."""
         return (
-            self.engine, self.shards, self.diameter, self.index_kind,
+            self.engine, self.diameter, self.index_kind,
             self.index_horizon, self.index_workers,
             self.answer_cache_size, self.workers, self.max_batch_size,
             self.max_wait_ms,
@@ -120,7 +110,6 @@ def reference_candidate(
     return PlanCandidate(
         name="reference",
         engine=params.engine,
-        shards=params.shards,
         diameter=params.diameter,
         index_kind=index_kind,
         index_horizon=(
@@ -148,8 +137,7 @@ def estimate_cost(
 
     Monotone in the intuitive directions: deeper diameters and bigger
     match sets make cold searches costlier; an index discounts
-    connector-heavy searches; sharding divides heavy cold searches at a
-    fixed coordination overhead; the answer cache converts the
+    connector-heavy searches; the answer cache converts the
     duplicate fraction into near-free hits **only** while the working
     set fits (an LRU under cyclic access larger than capacity is a
     deterministic 0% hit rate — the thrash cliff below).
@@ -163,8 +151,6 @@ def estimate_cost(
     )
     if candidate.index_kind is not None:
         cold_ms *= 1.0 - 0.5 * features.free_connector_ratio
-    if candidate.engine == "sharded":
-        cold_ms = cold_ms / max(1.0, 0.75 * candidate.shards) + 2.0
     if candidate.answer_cache_size >= features.unique_queries:
         coverage = 1.0
     elif features.unique_queries:
@@ -216,27 +202,6 @@ def generate_candidates(
         ))
 
     if (
-        features.duplicate_fraction <= _SHARD_LEVER_DUP
-        and reference.engine != "sharded"
-        and (
-            features.graph_nodes == 0
-            or features.graph_nodes >= _SHARD_MIN_NODES
-        )
-    ):
-        for shards in (2, 4):
-            proposals.append(dataclasses.replace(
-                reference,
-                name=f"sharded-{shards}",
-                engine="sharded",
-                shards=shards,
-                notes=(
-                    "cold searches dominate "
-                    f"({1 - features.duplicate_fraction:.0%} of "
-                    "arrivals); shard the branch-and-bound",
-                ),
-            ))
-
-    if (
         features.observed_diameter is not None
         and reference.diameter is not None
         and features.observed_diameter < reference.diameter
@@ -267,7 +232,7 @@ def generate_candidates(
         ))
 
     if (
-        features.duplicate_fraction >= _SHARD_LEVER_DUP
+        features.duplicate_fraction >= _BATCH_WAIT_LEVER_DUP
         and reference.max_wait_ms > 0
     ):
         proposals.append(dataclasses.replace(

@@ -66,8 +66,8 @@ _MAX_PARITY_FAILURES = 5
 #: Candidate leg guardrail: a request is cut off (and its candidate
 #: eliminated) once it exceeds this multiple of the reference leg's
 #: p99 latency.  A configuration that slow on any request can never
-#: win, and without the guard a pathological proposal (say, sharding a
-#: graph too small to partition) would hold the whole plan hostage.
+#: win, and without the guard a pathological proposal would hold the
+#: whole plan hostage.
 _LEG_DEADLINE_FACTOR = 20.0
 
 #: Floor for the candidate-leg request deadline (ms), so a very fast
@@ -164,7 +164,11 @@ class PlanReport:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PlanReport":
-        features = WorkloadFeatures(**payload["features"])
+        # Reports written by older versions may carry retired features.
+        known = {f.name for f in dataclasses.fields(WorkloadFeatures)}
+        features = WorkloadFeatures(**{
+            k: v for k, v in payload["features"].items() if k in known
+        })
         return cls(
             features=features,
             reference=CandidateResult.from_dict(payload["reference"]),

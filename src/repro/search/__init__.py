@@ -10,7 +10,6 @@ from .branch_and_bound import (
     BranchAndBoundSearch,
     SearchStats,
 )
-from .sharded import ShardedExecutor, ShardedSearch, ShardWorkerPool
 
 __all__ = [
     "CandidateTree",
@@ -21,7 +20,4 @@ __all__ = [
     "AnytimeSnapshot",
     "BranchAndBoundSearch",
     "SearchStats",
-    "ShardedExecutor",
-    "ShardedSearch",
-    "ShardWorkerPool",
 ]

@@ -812,60 +812,67 @@ def arena_snapshots(search, heartbeat: int = 0):
     proven = True
     frontier = float("-inf")
     ticks = 0
-    while heap:
-        key, tight, cid = heapq.heappop(heap)
-        ub = -key[0]
-        if top_k.full and ub <= top_k.min_score():
-            stats.stopped_early = True
-            frontier = ub
-            break
-        if params.max_candidates and stats.expanded >= params.max_candidates:
-            proven = False
-            frontier = ub
-            break
-        ticks += 1
-        if heartbeat and ticks % heartbeat == 0:
-            # Heartbeat snapshot (see BranchAndBoundSearch.snapshots):
-            # the head's bound admissibly caps everything undiscovered.
-            stats.snapshots_yielded += 1
-            yield AnytimeSnapshot(
-                answers=top_k.as_list(),
-                frontier_bound=ub,
-                proven_optimal=False,
-                arena_mark=len(arena),
-            )
-        if not tight:
-            t0 = perf()
-            ub = tighten(cid)
-            stats.tighten_seconds += perf() - t0
-            stats.tightened += 1
+    try:
+        while heap:
+            key, tight, cid = heapq.heappop(heap)
+            ub = -key[0]
             if top_k.full and ub <= top_k.min_score():
-                stats.pruned_bound += 1
-                continue
-            by_root.setdefault(arena.root[cid], []).append(cid)
-            if heap and ub < -heap[0][0][0]:
-                heapq.heappush(
-                    heap, ((-ub,) + key[1:], True, cid)
+                stats.stopped_early = True
+                frontier = ub
+                break
+            if (
+                params.max_candidates
+                and stats.expanded >= params.max_candidates
+            ):
+                proven = False
+                frontier = ub
+                break
+            ticks += 1
+            if heartbeat and ticks % heartbeat == 0:
+                # Heartbeat snapshot (see BranchAndBoundSearch.snapshots):
+                # the head's bound admissibly caps everything undiscovered.
+                stats.snapshots_yielded += 1
+                yield AnytimeSnapshot(
+                    answers=top_k.as_list(),
+                    frontier_bound=ub,
+                    proven_optimal=False,
+                    arena_mark=len(arena),
                 )
-                stats.repushed += 1
-                continue
-        if top_k.revision != last_revision:
-            last_revision = top_k.revision
-            stats.snapshots_yielded += 1
-            yield AnytimeSnapshot(
-                answers=top_k.as_list(),
-                frontier_bound=ub,
-                proven_optimal=False,
-                arena_mark=len(arena),
-            )
-        stats.expanded += 1
-        t0 = perf()
-        expand(cid)
-        stats.expand_seconds += perf() - t0
+            if not tight:
+                t0 = perf()
+                ub = tighten(cid)
+                stats.tighten_seconds += perf() - t0
+                stats.tightened += 1
+                if top_k.full and ub <= top_k.min_score():
+                    stats.pruned_bound += 1
+                    continue
+                by_root.setdefault(arena.root[cid], []).append(cid)
+                if heap and ub < -heap[0][0][0]:
+                    heapq.heappush(
+                        heap, ((-ub,) + key[1:], True, cid)
+                    )
+                    stats.repushed += 1
+                    continue
+            if top_k.revision != last_revision:
+                last_revision = top_k.revision
+                stats.snapshots_yielded += 1
+                yield AnytimeSnapshot(
+                    answers=top_k.as_list(),
+                    frontier_bound=ub,
+                    proven_optimal=False,
+                    arena_mark=len(arena),
+                )
+            stats.expanded += 1
+            t0 = perf()
+            expand(cid)
+            stats.expand_seconds += perf() - t0
+    finally:
+        # Published in a finally so a consumer that closes the generator
+        # at a yield (every deadline hit) still reports the arena's size.
+        stats.arena_candidates = len(arena)
+        stats.arena_peak_bytes = arena.peak_bytes
+        stats.arena_rollbacks = arena.rollbacks
 
-    stats.arena_candidates = len(arena)
-    stats.arena_peak_bytes = arena.peak_bytes
-    stats.arena_rollbacks = arena.rollbacks
     search.last_proven = proven
     stats.snapshots_yielded += 1
     yield AnytimeSnapshot(

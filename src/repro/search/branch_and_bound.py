@@ -56,7 +56,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..config import SearchParams
 from ..exceptions import SearchError
@@ -141,13 +141,6 @@ class SearchStats:
             storage across the run (arena engine only).
         arena_rollbacks: admissions reclaimed by arena rollback
             (duplicates and pruned candidates; arena engine only).
-        shard_fanout: shards a sharded run actually searched (0 on the
-            single-process engines).
-        shards_terminated_early: shards cancelled by the coordinator
-            because their frontier bound fell below the global k-th
-            score (sharded engine only).
-        shard_wall_seconds: per-shard wall-clock seconds, indexed by
-            shard id (sharded engine only; empty otherwise).
     """
 
     expanded: int = 0
@@ -175,9 +168,6 @@ class SearchStats:
     arena_candidates: int = 0
     arena_peak_bytes: int = 0
     arena_rollbacks: int = 0
-    shard_fanout: int = 0
-    shards_terminated_early: int = 0
-    shard_wall_seconds: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -326,14 +316,6 @@ class BranchAndBoundSearch:
         """
         params = self.params
         lazy = params.lazy_bounds
-        if params.engine == "sharded":
-            # The sharded engine is a coordinator over *multiple*
-            # per-shard searches; it lives at the system layer
-            # (repro.search.sharded), not inside one search object.
-            raise SearchError(
-                "engine='sharded' must run through "
-                "CIRankSystem.search/search_anytime (repro.search.sharded)"
-            )
         if lazy and params.engine == "arena":
             # The flat-arena engine (repro.search.arena): identical
             # control flow over columnar candidate rows.  Local import —

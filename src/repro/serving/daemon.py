@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Dict, Optional
 
-from ..config import ServingParams
+from ..config import ENGINES, ServingParams
 from ..exceptions import BadRequestError
 from ..model.answer import RankedAnswer
 from ..obs.clock import get_clock
@@ -74,12 +74,6 @@ _GAP_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1.0)
 
 #: Arena peak-bytes buckets (64 KiB .. 256 MiB, powers of four).
 _ARENA_BUCKETS = tuple(float(1 << s) for s in range(16, 29, 2))
-
-#: Per-shard wall-time buckets (sharded engine): sub-millisecond shard
-#: searches up to multi-second stragglers.
-_SHARD_WALL_BUCKETS = (
-    0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -167,24 +161,10 @@ class CIRankDaemon:
         self._draining = True
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain in-flight flights, stop the pools.
-
-        Shard workers (sharded engine) are joined inside the same
-        ``drain_seconds`` budget the connection drain uses; a worker
-        that ignores its cancellation threshold past the deadline is
-        terminated so shutdown never hangs.
-        """
+        """Graceful shutdown: drain in-flight flights, stop the pools."""
         self.begin_drain()
         await self.flights.drain()
         await self.batcher.stop()
-        graceful = self.system.close_sharded(
-            timeout=self.params.drain_seconds
-        )
-        if not graceful:
-            logger.warning(
-                "shard worker pool exceeded the drain budget (%.1fs) "
-                "and was terminated", self.params.drain_seconds,
-            )
         if self.capture is not None:
             self.capture.close()
         logger.info(
@@ -203,7 +183,7 @@ class CIRankDaemon:
         Payload fields: ``query`` (required string), ``k``,
         ``diameter`` (ints), ``deadline_ms`` (number; overrides the
         configured default; 0 forces no deadline), ``engine``
-        (``"arena"``/``"object"``/``"sharded"``).
+        (``"arena"``/``"object"``).
 
         Raises:
             BadRequestError: on an invalid payload (counted as
@@ -464,19 +444,6 @@ class CIRankDaemon:
             "Cumulative seconds per search phase across executions.",
             labelnames=("phase",),
         )
-        self._shard_fanout = reg.counter(
-            "cirank_shard_fanout_total",
-            "Shards searched across sharded-engine executions.",
-        )
-        self._shards_terminated = reg.counter(
-            "cirank_shards_terminated_early_total",
-            "Shards cancelled by bound-based early termination.",
-        )
-        self._shard_wall_hist = reg.histogram(
-            "cirank_shard_wall_seconds",
-            "Per-shard wall time within sharded-engine executions.",
-            buckets=_SHARD_WALL_BUCKETS,
-        )
 
     def _observe_batch(self, size: int) -> None:
         """Batcher hook: record one dispatched batch's size."""
@@ -508,11 +475,6 @@ class CIRankDaemon:
                 self._phase_seconds.labels(phase).inc(seconds)
         if stats.arena_peak_bytes > 0:
             self._arena_hist.observe(stats.arena_peak_bytes)
-        if stats.shard_fanout > 0:
-            self._shard_fanout.inc(stats.shard_fanout)
-            self._shards_terminated.inc(stats.shards_terminated_early)
-            for wall in stats.shard_wall_seconds:
-                self._shard_wall_hist.observe(wall)
 
     def _capture(
         self,
@@ -602,8 +564,8 @@ class CIRankDaemon:
             deadline_ms = self.params.deadline_ms
         engine = payload.get("engine")
         _require(
-            engine is None or engine in ("arena", "object", "sharded"),
-            "'engine' must be 'arena', 'object', or 'sharded'",
+            engine is None or engine in ENGINES,
+            f"'engine' must be one of {ENGINES}",
         )
         unknown = set(payload) - {
             "query", "k", "diameter", "deadline_ms", "engine",

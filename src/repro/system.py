@@ -116,13 +116,6 @@ class CIRankSystem:
         # Bumped whenever the ranking itself changes (feedback re-rank);
         # pairs with graph.version to guard cached answers.
         self._ranking_epoch = 0
-        # Lazily-created sharded-search executor (partition memo plus
-        # the optional persistent worker pool); see repro.search.sharded.
-        self._sharded = None
-        self._sharded_lock = threading.Lock()
-        #: Execution mode of the sharded engine: "auto" (processes on
-        #: multi-CPU hosts, inline otherwise), "inline", or "process".
-        self.sharded_mode = "auto"
         #: Observability of the most recent :meth:`search` call (the
         #: CLI's ``--stats`` flag reads these).
         self.last_search_stats: Optional[SearchStats] = None
@@ -301,7 +294,7 @@ class CIRankSystem:
         :class:`~repro.planner.plan.PlanReport` (its chosen candidate is
         applied), or a plain dict in either shape (a serialized report
         is recognized by its ``chosen_config`` key).  Applies the search
-        knobs (engine, shard count, diameter cap), resizes the answer
+        knobs (engine, diameter cap), resizes the answer
         cache when the capacity changed, and attaches or detaches the
         graph index to match the plan.  Returns ``self`` for chaining.
 
@@ -344,33 +337,6 @@ class CIRankSystem:
             )
         return self
 
-    # ------------------------------------------------------------- sharded
-
-    def _sharded_search(self, match: MatchSets, params: SearchParams, span=None):
-        """A coordinator for one ``engine="sharded"`` query."""
-        with self._sharded_lock:
-            if self._sharded is None or self._sharded.mode != self.sharded_mode:
-                from .search.sharded import ShardedExecutor
-                previous = self._sharded
-                self._sharded = ShardedExecutor(self, mode=self.sharded_mode)
-                if previous is not None:
-                    previous.close(timeout=5.0)
-            executor = self._sharded
-        return executor.search_for(match, params, span=span)
-
-    def close_sharded(self, timeout: Optional[float] = None) -> bool:
-        """Shut down the sharded executor's worker pool, if any.
-
-        The serving daemon calls this during graceful drain with its
-        ``drain_seconds`` budget; returns True when every shard worker
-        joined within the budget (or none existed).
-        """
-        with self._sharded_lock:
-            executor, self._sharded = self._sharded, None
-        if executor is None:
-            return True
-        return executor.close(timeout=timeout)
-
     # -------------------------------------------------------------- search
 
     def scorer_for(self, match: MatchSets) -> RWMPScorer:
@@ -384,7 +350,6 @@ class CIRankSystem:
         diameter: Optional[int] = None,
         algorithm: str = "branch-and-bound",
         engine: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> List[RankedAnswer]:
         """Top-k keyword search.
 
@@ -394,15 +359,10 @@ class CIRankSystem:
             diameter: answer diameter cap (defaults to configured D).
             algorithm: ``"branch-and-bound"`` (default) or ``"naive"``.
             engine: lazy-loop candidate representation — ``"arena"``
-                (flat columnar arena), ``"object"`` (per-candidate
-                trees), or ``"sharded"`` (star-cut partition searched
-                per shard with bound-based early termination;
-                :mod:`repro.search.sharded`); defaults to the
-                configured engine.  All return identical top-k up to
-                tie classes; the flag exists so a regression is one CLI
-                switch away from bisection.
-            shards: shard count for the sharded engine (defaults to the
-                configured count; ignored by the other engines).
+                (flat columnar arena) or ``"object"`` (per-candidate
+                trees); defaults to the configured engine.  Both return
+                identical top-k up to tie classes; the flag exists so a
+                regression is one CLI switch away from bisection.
 
         Returns:
             Ranked answers, best first (possibly fewer than k).
@@ -411,6 +371,12 @@ class CIRankSystem:
             raise ReproError(f"unknown algorithm {algorithm!r}")
         self.last_search_stats = None
         self.last_cache_stats = None
+        # The versions a stored result is proven against, captured
+        # before any input is read: a graph mutation or feedback re-rank
+        # landing mid-search leaves a stale entry, never one labeled
+        # fresh under the new ranking.
+        version = self.graph.version
+        epoch = self._ranking_epoch
         match = self._match_for(query_text)
         if self.search_params.semantics == "or":
             # OR needs only one matchable keyword
@@ -418,7 +384,7 @@ class CIRankSystem:
                 return []
         elif not match.matchable:
             return []
-        params = self._resolve_params(k, diameter, engine, shards)
+        params = self._resolve_params(k, diameter, engine)
         cache_key = None
         lookup_seconds = 0.0
         if algorithm == "branch-and-bound" and self._answer_cache.enabled:
@@ -446,12 +412,9 @@ class CIRankSystem:
                 return cached
         scorer = self.scorer_for(match)
         if algorithm == "branch-and-bound":
-            if params.engine == "sharded":
-                search = self._sharded_search(match, params)
-            else:
-                search = BranchAndBoundSearch(
-                    self.graph, scorer, match, params, index=self.graph_index
-                )
+            search = BranchAndBoundSearch(
+                self.graph, scorer, match, params, index=self.graph_index
+            )
         else:
             search = NaiveSearch(self.graph, scorer, match, params)
         answers = search.run()
@@ -462,9 +425,7 @@ class CIRankSystem:
             # Only proven-optimal results are reusable; anytime aborts
             # (max_candidates) carry no certificate.  Proven *empty*
             # results are cached too.
-            self._answer_cache.store(
-                cache_key, self.graph.version, self._ranking_epoch, answers
-            )
+            self._answer_cache.store(cache_key, version, epoch, answers)
         self._publish_cache_stats(scorer)
         return answers
 
@@ -474,7 +435,6 @@ class CIRankSystem:
         k: Optional[int] = None,
         diameter: Optional[int] = None,
         engine: Optional[str] = None,
-        shards: Optional[int] = None,
         heartbeat: int = 0,
         observer: Optional[object] = None,
         span: Optional[object] = None,
@@ -495,10 +455,8 @@ class CIRankSystem:
             query_text: whitespace-separated keywords.
             k: number of answers (defaults to the configured k).
             diameter: answer diameter cap (defaults to configured D).
-            engine: ``"arena"``, ``"object"``, or ``"sharded"``
-                (defaults to configured).
-            shards: shard count for the sharded engine (defaults to the
-                configured count; ignored by the other engines).
+            engine: ``"arena"`` or ``"object"`` (defaults to
+                configured).
             heartbeat: yield a snapshot every ``heartbeat`` queue pops
                 even without top-k improvement (0 = improvements only);
                 deadline consumers use this to bound overshoot.
@@ -514,7 +472,10 @@ class CIRankSystem:
                 attributes when the generator closes.
         """
         search_span = span.child("search") if span is not None else None
-        params = self._resolve_params(k, diameter, engine, shards)
+        # Captured before any input is read, as in search().
+        version = self.graph.version
+        epoch = self._ranking_epoch
+        params = self._resolve_params(k, diameter, engine)
         match = self._match_for(query_text)
         if params.semantics == "or":
             matchable = any(match.per_keyword.values())
@@ -563,19 +524,11 @@ class CIRankSystem:
                 )
                 return
         scorer = self.scorer_for(match)
-        if params.engine == "sharded":
-            search = self._sharded_search(match, params, span=search_span)
-        else:
-            search = BranchAndBoundSearch(
-                self.graph, scorer, match, params, index=self.graph_index
-            )
+        search = BranchAndBoundSearch(
+            self.graph, scorer, match, params, index=self.graph_index
+        )
         if observer is not None:
             observer.stats = search.stats
-        # The versions the result would be proven against — captured
-        # before the search so a concurrent mutation can only make the
-        # stored guard *stale* (invalidated at next lookup), never wrong.
-        version = self.graph.version
-        epoch = self._ranking_epoch
         try:
             for snapshot in search.snapshots(heartbeat=heartbeat):
                 if (
@@ -621,7 +574,6 @@ class CIRankSystem:
         k: Optional[int],
         diameter: Optional[int],
         engine: Optional[str],
-        shards: Optional[int] = None,
     ) -> SearchParams:
         """The configured SearchParams with per-call overrides applied.
 
@@ -635,8 +587,6 @@ class CIRankSystem:
             overrides["diameter"] = diameter
         if engine is not None:
             overrides["engine"] = engine
-        if shards is not None:
-            overrides["shards"] = shards
         return dataclasses.replace(self.search_params, **overrides)
 
     def _index_fingerprint(self):

@@ -15,10 +15,9 @@ naive re-implementation here:
   diameter cap, under AND or OR semantics;
 * :func:`differential_check` — builds the full
   :class:`~repro.system.CIRankSystem` stack over a database and asserts
-  that branch-and-bound (plain, pairs-indexed, star-indexed), the
-  sharded coordinator (at several shard counts), the naive search, and
-  the exhaustive oracle agree on the top-k, with ties handled by
-  score-equivalence classes.
+  that branch-and-bound (plain, pairs-indexed, star-indexed), the naive
+  search, and the exhaustive oracle agree on the top-k, with ties
+  handled by score-equivalence classes.
 
 Agreement contracts (see docs/TESTING.md for the narrative):
 
@@ -406,8 +405,6 @@ def differential_check(
     check_indexes: bool = True,
     check_naive: bool = True,
     check_strict: bool = True,
-    check_sharded: bool = True,
-    sharded_shards: tuple = (1, 2, 3),
     label: str = "",
 ) -> DifferentialReport:
     """Assert the whole optimized stack agrees with brute force.
@@ -432,11 +429,6 @@ def differential_check(
         check_naive: also run the naive search (subset contract).
         check_strict: also run strict-merge branch-and-bound (subset
             contract).
-        check_sharded: also run the sharded coordinator (inline mode)
-            at each shard count in ``sharded_shards`` — complete by
-            Theorem 1 plus the coordinator's cancellation rule, so it
-            is held to the exact tie-class contract.
-        sharded_shards: shard counts for the sharded legs.
         label: case label embedded in failure messages.
 
     Returns:
@@ -566,31 +558,6 @@ def differential_check(
                 graph, scorer, match, complete, index=index
             )
             _check_exact_topk(name, label, search.run(), oracle_topk, scores)
-            report.engines.append(name)
-
-    if check_sharded:
-        # The sharded coordinator must be tie-class-identical to the
-        # single-process engines at every shard count: partitioning,
-        # halo widening, score slicing, and bound-based cancellation
-        # all preserve exactness (repro.search.sharded's certificate).
-        from ..graph.partition import partition_graph
-        from ..search.sharded import ShardedSearch
-
-        for n_shards in sharded_shards:
-            partition = partition_graph(
-                graph, system.importance, system.dampening,
-                n_shards, complete.diameter,
-                inverted_index=system.index,
-                graph_index=system.graph_index,
-            )
-            sharded = ShardedSearch(
-                partition, match,
-                dataclasses.replace(
-                    complete, engine="sharded", shards=n_shards
-                ),
-            )
-            name = f"sharded-{n_shards}"
-            _check_exact_topk(name, label, sharded.run(), oracle_topk, scores)
             report.engines.append(name)
 
     if check_naive:

@@ -172,6 +172,32 @@ class TestSystemIntegration:
         system.search(query)
         assert system.last_search_stats.served_from_cache
 
+    def test_rerank_mid_search_is_not_cached_as_fresh(
+        self, small_system, monkeypatch
+    ):
+        # A feedback re-rank landing while a search runs must leave the
+        # result stored under the epoch it was ranked in, so a lookup
+        # under the new epoch misses.
+        from repro.search.branch_and_bound import BranchAndBoundSearch
+
+        system = small_system
+        query = _some_query(system)
+        feedback = FeedbackModel(system.graph)
+        feedback.record_click(0, weight=10.0)
+        original = BranchAndBoundSearch.run
+
+        def run_then_rerank(search):
+            answers = original(search)
+            system.apply_feedback(feedback)
+            return answers
+
+        monkeypatch.setattr(BranchAndBoundSearch, "run", run_then_rerank)
+        system.search(query)
+        monkeypatch.undo()
+        system.search(query)
+        assert not system.last_search_stats.served_from_cache
+        assert system.answer_cache.stats().invalidations == 1
+
     def test_naive_algorithm_bypasses_cache(self, small_system):
         system = small_system
         query = _some_query(system)

@@ -20,18 +20,20 @@ class TestParser:
         ])
         assert args.json and args.load == "/tmp/d"
 
-    def test_search_sharded_flags(self):
-        args = build_parser().parse_args([
-            "search", "--query", "x", "--engine", "sharded",
-            "--shards", "2",
-        ])
-        assert args.engine == "sharded" and args.shards == 2
-        args = build_parser().parse_args(["search", "--query", "x"])
-        assert args.shards is None
-        args = build_parser().parse_args([
-            "client", "--query", "x", "--engine", "sharded",
-        ])
-        assert args.engine == "sharded"
+    @pytest.mark.parametrize("command", ["search", "client"])
+    def test_sharded_engine_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([
+                command, "--query", "x", "--engine", "sharded",
+            ])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sharded'" in capsys.readouterr().err
+
+    def test_search_has_no_shards_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "search", "--query", "x", "--shards", "2",
+            ])
 
 
 class TestServingParsers:
@@ -356,24 +358,6 @@ class TestIndexCommands:
         printed = capsys.readouterr().out
         assert code == 0
         assert "warm-started from disk" in printed
-
-    def test_search_sharded_engine_prints_shard_stats(self, capsys):
-        from repro.cli import _build_system
-        system = _build_system("dblp", 3)
-        token = next(
-            t for t in system.index.vocabulary()
-            if len(system.index.matching_nodes(t)) == 1
-        )
-        code = main([
-            "search", "--dataset", "dblp", "--seed", "3",
-            "--query", token, "--engine", "sharded", "--shards", "2",
-            "--stats",
-        ])
-        printed = capsys.readouterr().out
-        assert code == 0
-        assert "engine:            sharded" in printed
-        assert "shard fanout:" in printed
-        assert "shard walls:" in printed
 
     def test_pairs_kind(self, tmp_path, capsys):
         out = tmp_path / "pairs_index"

@@ -57,6 +57,11 @@ class TestSearchParams:
         with pytest.raises(ReproError):
             SearchParams(max_candidates=-5)
 
+    @pytest.mark.parametrize("engine", ["warp", "sharded"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ReproError, match="engine"):
+            SearchParams(engine=engine)
+
 
 class TestEdgeWeights:
     def test_table2_imdb_weights(self):

@@ -263,73 +263,8 @@ class TestExposition:
         assert labels["q"] == tricky and value == "1"
 
 
-class TestShardMetricsExposition:
-    """Daemon-level parse-back of the sharded-engine metric family.
-
-    ``cirank_shard_fanout_total`` / ``cirank_shards_terminated_early_total``
-    counters and the ``cirank_shard_wall_seconds`` histogram are pushed
-    by ``_observe_outcome`` once per sharded execution; the exposition
-    must parse back to the coordinator's own ``SearchStats``.
-    """
-
-    def test_sharded_counters_round_trip(self, tiny_dblp_system):
-        import asyncio
-
-        from repro.config import ServingParams
-        from repro.serving.daemon import CIRankDaemon
-
-        system = tiny_dblp_system
-        system.answer_cache.clear()
-        system.sharded_mode = "inline"
-        query = " ".join(sorted(system.index.vocabulary())[:2])
-        try:
-            async def scenario():
-                daemon = CIRankDaemon(
-                    system, ServingParams(port=0, workers=1, max_wait_ms=0.0)
-                )
-                await daemon.start()
-                try:
-                    await daemon.handle_search(
-                        {"query": query, "engine": "sharded"}
-                    )
-                    return daemon.metrics_text()
-                finally:
-                    await daemon.stop()
-
-            text = asyncio.run(scenario())
-        finally:
-            system.sharded_mode = "auto"
-        stats = system.last_search_stats
-        assert stats is not None and stats.engine == "sharded"
-        assert stats.shard_fanout >= 1
-        families = _parse_exposition(text)
-
-        fanout = families["cirank_shard_fanout_total"]
-        assert fanout["type"] == "counter"
-        assert float(fanout["samples"][0][1]) == stats.shard_fanout
-
-        terminated = families["cirank_shards_terminated_early_total"]
-        assert terminated["type"] == "counter"
-        assert float(terminated["samples"][0][1]) == (
-            stats.shards_terminated_early
-        )
-
-        wall = families["cirank_shard_wall_seconds"]
-        assert wall["type"] == "histogram"
-        buckets = {
-            labels["le"]: float(value)
-            for labels, value in wall["samples"]
-            if "le" in labels
-        }
-        # The +Inf bucket counts every shard wall observation: one per
-        # searched shard.
-        assert buckets["+Inf"] == stats.shard_fanout == len(
-            stats.shard_wall_seconds
-        )
-
-    def test_non_sharded_executions_leave_shard_counters_flat(
-        self, tiny_dblp_system
-    ):
+class TestDaemonExposition:
+    def test_arena_execution_exposes_no_shard_family(self, tiny_dblp_system):
         import asyncio
 
         from repro.config import ServingParams
@@ -353,13 +288,7 @@ class TestShardMetricsExposition:
                 await daemon.stop()
 
         families = _parse_exposition(asyncio.run(scenario()))
-        assert float(
-            families["cirank_shard_fanout_total"]["samples"][0][1]
-        ) == 0.0
-        wall = families["cirank_shard_wall_seconds"]
-        by_le = {
-            labels["le"]: float(value)
-            for labels, value in wall["samples"]
-            if "le" in labels
-        }
-        assert by_le["+Inf"] == 0.0
+        assert "cirank_arena_peak_bytes" in families
+        assert not [
+            name for name in families if name.startswith("cirank_shard")
+        ]

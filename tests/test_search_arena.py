@@ -211,6 +211,25 @@ def test_snapshot_gap_parity_sweep():
     assert compared >= PARITY_SEEDS // 2, "sweep degenerated to trivia"
 
 
+def test_abandoned_run_publishes_arena_counters(tiny_dblp_system):
+    """A deadline consumer closes the generator at a heartbeat yield;
+    the arena's size counters must be published all the same."""
+    system = tiny_dblp_system
+    system.answer_cache.clear()
+    query = " ".join([
+        token for token in sorted(system.index.vocabulary())
+        if len(system.index.matching_nodes(token)) >= 2
+    ][:2])
+    generator = system.search_anytime(query, k=5, heartbeat=1)
+    snapshot = next(generator)
+    assert not snapshot.proven_optimal
+    generator.close()
+    stats = system.last_search_stats
+    assert stats.engine == "arena" and not stats.served_from_cache
+    assert stats.arena_candidates > 0
+    assert stats.arena_peak_bytes > 0
+
+
 def test_rollback_regions_never_reachable():
     """With ``_debug_validate`` the engine asserts, after every
     rollback, that no live heap entry or merge-partner id points into

@@ -150,6 +150,7 @@ class TestValidation:
         {"query": "x", "deadline_ms": -5},        # bad deadline
         {"query": "x", "engine": "warp"},         # unknown engine
         {"query": "x", "frobnicate": 1},          # unknown field
+        {"query": "x", "engine": "sharded"},      # retired engine
     ])
     def test_bad_payloads_are_400(self, server, client, payload):
         with pytest.raises(ServingRequestFailed) as excinfo:
@@ -176,9 +177,13 @@ class TestValidation:
 
     def test_rejections_do_not_leak_into_received(self, server, client):
         before = client.stats()
-        for _ in range(3):
+        for payload in (
+            {"query": ""},
+            {"query": "x", "engine": "sharded"},
+            {"query": ""},
+        ):
             with pytest.raises(ServingRequestFailed):
-                client._request("POST", "/search", {"query": ""})
+                client._request("POST", "/search", payload)
         after = client.stats()
         assert after["rejected"] == before["rejected"] + 3
         assert after["received"] == before["received"]
@@ -256,6 +261,71 @@ class TestShutdown:
             elif kind == "refused":
                 assert value == 503
 
+    def test_drain_mid_execution_keeps_audit_invariant(
+        self, tiny_dblp_system
+    ):
+        """Graceful stop while a request is held mid-execution.
+
+        Drain begins while the request is provably inside the search;
+        it must still complete proven, and every request must land in
+        the ``received == executed + coalesced`` audit identity with
+        nothing left in flight.
+        """
+        system = tiny_dblp_system
+        system.answer_cache.clear()
+        query = _pick_query(system)
+        params = ServingParams(
+            port=0, workers=2, max_wait_ms=0.0, drain_seconds=20.0
+        )
+        running = InProcessServer(system, params)
+        running.start()
+        host, port = running.host, running.port
+        entered = threading.Event()
+        release = threading.Event()
+        original = system.search_anytime
+
+        def gated(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30.0), "drain gate never released"
+            return original(*args, **kwargs)
+
+        results = []
+
+        def fire():
+            with ServingClient(host, port) as c:
+                results.append(c.search(query, k=4))
+
+        try:
+            with ServingClient(host, port) as warm:
+                warm.search(query, k=4)
+            system.answer_cache.clear()  # force a real flight
+
+            system.search_anytime = gated
+            flight = threading.Thread(target=fire)
+            flight.start()
+            # The request is provably mid-execution when drain begins.
+            assert entered.wait(timeout=30.0), "request never took off"
+            stopper = threading.Thread(target=running.stop)
+            stopper.start()
+            deadline = time.monotonic() + 30.0
+            while not running.daemon.draining:
+                assert time.monotonic() < deadline, "drain never began"
+                time.sleep(0.005)
+            release.set()
+            flight.join(timeout=60.0)
+            stopper.join(timeout=60.0)
+            assert not flight.is_alive() and not stopper.is_alive()
+        finally:
+            system.search_anytime = original
+        (response,) = results
+        assert response["proven"] is True and response["answers"]
+        stats = running.daemon.stats.as_dict()
+        # Warm-up and the drained in-flight request both resolved:
+        # nothing received may vanish mid-drain.
+        assert stats["received"] == 2
+        assert stats["received"] == stats["executed"] + stats["coalesced"]
+        assert stats["in_flight"] == 0
+
     def test_shutdown_endpoint_stops_the_server(self, tiny_dblp_system):
         tiny_dblp_system.answer_cache.clear()
         params = ServingParams(port=0, workers=1, max_wait_ms=0.0)
@@ -328,120 +398,3 @@ class TestResponseEncoding:
         )
         assert length == len(body)
         json.loads(body.decode("utf-8"))
-
-
-class TestShardedServing:
-    """The sharded engine behind the daemon: serving + drain lifecycle.
-
-    These tests run on their own generator-backed system (not the
-    session ``tiny_dblp_system``): sharded searches over dense DBLP
-    halos cost tens of seconds, which starves the drain budget and
-    turns the audit assertions into timing flakes.
-    """
-
-    @pytest.fixture(scope="class")
-    def sharded_case(self):
-        import dataclasses
-
-        from repro import CIRankSystem
-        from repro.testing import random_case
-
-        case = random_case(2)
-        system = CIRankSystem.from_database(
-            case.db,
-            weights=case.weights,
-            search_params=dataclasses.replace(
-                case.params, strict_merge=False, shards=4
-            ),
-        )
-        return system, case.query
-
-    def test_sharded_engine_over_http_matches_arena(self, sharded_case):
-        system, query = sharded_case
-        system.answer_cache.clear()
-        system.sharded_mode = "inline"
-        params = ServingParams(port=0, workers=2, max_wait_ms=0.0)
-        try:
-            with InProcessServer(system, params) as running:
-                with ServingClient(running.host, running.port) as c:
-                    response = c.search(query, k=3, engine="sharded")
-        finally:
-            system.sharded_mode = "auto"
-        assert response["proven"] is True
-        system.answer_cache.clear()
-        direct = system.search(query, k=3, engine="arena")
-        assert [
-            round(a["score"], 9) for a in response["answers"]
-        ] == [round(a.score, 9) for a in direct]
-
-    def test_drain_joins_shard_workers_and_keeps_audit_invariant(
-        self, sharded_case
-    ):
-        """Graceful stop with in-flight sharded queries.
-
-        The shard worker pool must be joined within ``drain_seconds``
-        (the daemon logs-and-terminates otherwise) and every sharded
-        request must land in the ``received == executed + coalesced``
-        audit identity — no flight may be lost in the pool handoff.
-        """
-        system, query = sharded_case
-        system.answer_cache.clear()
-        system.sharded_mode = "process"
-        params = ServingParams(
-            port=0, workers=2, max_wait_ms=0.0, drain_seconds=20.0
-        )
-        running = InProcessServer(system, params)
-        running.start()
-        host, port = running.host, running.port
-        entered = threading.Event()
-        release = threading.Event()
-        original = system.search_anytime
-
-        def gated(*args, **kwargs):
-            entered.set()
-            assert release.wait(timeout=30.0), "drain gate never released"
-            return original(*args, **kwargs)
-
-        results = []
-
-        def fire():
-            with ServingClient(host, port) as c:
-                results.append(c.search(query, k=4, engine="sharded"))
-
-        try:
-            # Warm the worker pool through the daemon so the drain
-            # below has live forked workers to join.
-            with ServingClient(host, port) as warm:
-                warm.search(query, k=4, engine="sharded")
-            assert system._sharded is not None
-            system.answer_cache.clear()  # force a real sharded flight
-
-            system.search_anytime = gated
-            flight = threading.Thread(target=fire)
-            flight.start()
-            # The request is provably mid-execution when drain begins.
-            assert entered.wait(timeout=30.0), "request never took off"
-            stopper = threading.Thread(target=running.stop)
-            stopper.start()
-            deadline = time.monotonic() + 30.0
-            while not running.daemon.draining:
-                assert time.monotonic() < deadline, "drain never began"
-                time.sleep(0.005)
-            release.set()
-            flight.join(timeout=60.0)
-            stopper.join(timeout=60.0)
-            assert not flight.is_alive() and not stopper.is_alive()
-        finally:
-            system.search_anytime = original
-            system.sharded_mode = "auto"
-            system.close_sharded(timeout=20.0)
-        (response,) = results
-        assert response["proven"] is True and response["answers"]
-        stats = running.daemon.stats.as_dict()
-        # Warm-up and the drained in-flight request both resolved:
-        # nothing received may vanish mid-drain.
-        assert stats["received"] == 2
-        assert stats["received"] == stats["executed"] + stats["coalesced"]
-        assert stats["in_flight"] == 0
-        # stop() detached the executor: the worker pool is gone.
-        assert system._sharded is None
