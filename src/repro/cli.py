@@ -89,18 +89,21 @@ def _print_search_stats(system: CIRankSystem) -> None:
             print(f"  admit capped:    {stats.admit_capped}")
             print(f"  tightened:       {stats.tightened}")
             print(f"  re-pushed:       {stats.repushed}")
-            print("phase timers:")
-            print(f"  bound:           {stats.bound_seconds:.6f}s")
-            print(f"    cheap admit:   {stats.cheap_bound_seconds:.6f}s")
-            print(f"    tighten:       {stats.tighten_seconds:.6f}s")
-            print(f"  expand:          {stats.expand_seconds:.6f}s")
+            print("phase timers: disjoint self times")
+            print(f"  admit bound:     {stats.bound_seconds:.6f}s")
+            print(f"  cheap bound:     {stats.cheap_bound_seconds:.6f}s")
+            print(f"  head tighten:    {stats.tighten_seconds:.6f}s")
+            print(f"  expand (self):   {stats.expand_seconds:.6f}s")
             print(f"  scoring:         {stats.score_seconds:.6f}s")
             print(f"  cache lookup:    {stats.cache_lookup_seconds:.6f}s")
             print(f"engine:            {stats.engine}")
             if stats.engine == "arena":
                 print(f"  candidates:      {stats.arena_candidates}")
                 print(f"  peak bytes:      {stats.arena_peak_bytes}")
-                print(f"  rollbacks:       {stats.arena_rollbacks}")
+                print(
+                    "  rolled back:     "
+                    f"{stats.arena_rollbacks} pruned initial rows"
+                )
     caches = dict(system.last_cache_stats or {})
     answers_snap = caches.pop("answers", None)
     if answers_snap is not None:

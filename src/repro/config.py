@@ -75,11 +75,14 @@ class SearchParams:
         diameter: cap ``D`` on the answer-tree diameter (in edges).
         strict_merge: when True (default — the paper's rule), a merge
             must cover strictly more keywords than either operand, which
-            prunes redundant-coverage trees and is dramatically faster;
-            when False, any cycle-free merge is allowed, making the
-            search provably complete over all Definition-3 answers
-            (useful for verification; in measurements the two modes
-            return identical top-k on realistic workloads).
+            prunes redundant-coverage trees but can miss answers; when
+            False, any cycle-free merge is allowed, making the search
+            provably complete over all Definition-3 answers.  The two
+            do not always return the same top-k: they differ on 2 of
+            the first 80 ``cold-imdb`` and 4 of the first 80
+            ``deadline-dblp`` perfbench queries, where the complete
+            rule costs 1.14x / 1.33x the search CPU
+            (docs/ALGORITHMS.md §2.3, ROADMAP item 1).
         max_candidates: safety valve — abort the search after this many
             candidate-tree expansions (0 disables the cap).
         semantics: ``"and"`` (the paper's assumption — answers must cover

@@ -65,9 +65,7 @@ class BuildStats:
 def node_rates(graph: DataGraph, dampening: DampeningModel) -> np.ndarray:
     """The per-node dampening-rate vector the kernels consume."""
     return np.fromiter(
-        (dampening.rate(node) for node in graph.nodes()),
-        dtype=np.float64,
-        count=graph.node_count,
+        dampening.rates, dtype=np.float64, count=graph.node_count
     )
 
 

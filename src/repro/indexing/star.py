@@ -20,6 +20,13 @@ V-B, using each non-star node's star neighbor set ``S(v)``:
 
 Retention upper bounds decompose the same way, multiplying the boundary
 dampening rates explicitly (derivation in DESIGN.md / bounds docstring).
+
+The decomposition's inputs are tabulated once per index (at build and
+at :meth:`StarIndex.restore`): each node's ``S(v)``, each star's sparse
+entry table and beyond-ball fallback, and the dampening rate table, so
+a lookup is a single loop over precomputed tuples.  The star×star
+entries stay sparse; a dense matrix would not scale to the paper's
+graphs.
 """
 
 from __future__ import annotations
@@ -136,6 +143,7 @@ class StarIndex:
             self._build()
         else:
             self._build_kernel(workers)
+        self._build_lookup_tables()
 
     def _verify_cover(self) -> None:
         for node in self.graph.nodes():
@@ -213,7 +221,48 @@ class StarIndex:
         index._radius = radius
         index.graph_version = graph.version
         index.build_stats = None
+        index._build_lookup_tables()
         return index
+
+    def _build_lookup_tables(self) -> None:
+        """Per-node tables the three lookup cases read (built once).
+
+        * ``_snbrs[v]`` — ``S(v)`` as an ascending tuple (every node);
+        * ``_rows[s]`` — star ``s``'s sparse entry table (empty dict for
+          non-star nodes and stars without materialized entries);
+        * ``_far[s]`` / ``_beyond[s]`` — the beyond-ball fallback of
+          star ``s``: distance ``radius + 1`` and retention
+          ``d_max ** (radius + 1)``, exactly the values a per-pair
+          lookup would derive for an unmaterialized target;
+        * ``_rates`` — the dampening model's rate table.
+
+        They are derived from the graph at :attr:`graph_version`; every
+        lookup still runs :meth:`_check_fresh` first.
+        """
+        compiled = self.graph.compiled()
+        n = self.graph.node_count
+        is_star = np.asarray(self._is_star, dtype=bool)
+        targets = compiled.nbr_targets
+        keep = is_star[targets]
+        kept_before = np.zeros(targets.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        offsets = kept_before[compiled.nbr_offsets].tolist()
+        flat = targets[keep].tolist()
+        self._snbrs: List[Tuple[int, ...]] = [
+            tuple(flat[offsets[v]:offsets[v + 1]]) for v in range(n)
+        ]
+        empty: Dict[int, Tuple[int, float]] = {}
+        self._rows: List[Dict[int, Tuple[int, float]]] = [empty] * n
+        self._far: List[float] = [0.0] * n
+        self._beyond: List[float] = [0.0] * n
+        for s in range(n):
+            if not self._is_star[s]:
+                continue
+            self._rows[s] = self._entries.get(s, empty)
+            radius = self._radius.get(s, self.horizon)
+            self._far[s] = float(radius + 1)
+            self._beyond[s] = self._d_max ** (radius + 1)
+        self._rates = self.dampening.rates
 
     # ----------------------------------------------------------- freshness
 
@@ -238,71 +287,109 @@ class StarIndex:
         return self._is_star[node]
 
     def star_neighbors(self, node: int) -> List[int]:
-        """``S(v)``: the star nodes directly connected to ``v``."""
-        return [n for n in self.graph.neighbors(node) if self._is_star[n]]
+        """``S(v)``: the star nodes directly connected to ``v``, ascending.
 
-    def _star_pair(self, u: int, v: int) -> Tuple[float, float]:
-        """(distance lower bound, retention upper bound) for star pairs."""
-        if u == v:
-            return 0.0, 1.0
-        entry = self._entries.get(u, {}).get(v)
-        if entry is not None:
-            return float(entry[0]), entry[1]
-        radius = self._radius.get(u, self.horizon)
-        return float(radius + 1), self._d_max ** (radius + 1)
+        Read from the table built with the index, so like every lookup
+        it raises :class:`IndexingError` once the graph has mutated.
+        """
+        self._check_fresh()
+        return list(self._snbrs[node])
 
     # ------------------------------------------------------------- lookups
 
     def distance_lower(self, u: int, v: int) -> float:
-        """Lower bound on ``dist(u, v)`` via the three star-index cases."""
+        """Lower bound on ``dist(u, v)`` via the three star-index cases.
+
+        Cases 2 and 3 take the minimum of ``dist(a, b)`` over
+        ``a in S(u)`` (or ``{u}`` for a star ``u``) and ``b in S(v)`` (or
+        ``{v}``), then add one per non-star endpoint.  A pair the star
+        ``a`` did not materialize reads ``a``'s beyond-ball distance.
+        """
         self._check_fresh()
         if u == v:
             return 0.0
-        u_star, v_star = self._is_star[u], self._is_star[v]
-        if u_star and v_star:
-            return self._star_pair(u, v)[0]
-        if u_star and not v_star:
-            sv = self.star_neighbors(v)
-            if not sv:
-                return float("inf")
-            return min(self._star_pair(u, s)[0] for s in sv) + 1
-        if not u_star and v_star:
-            su = self.star_neighbors(u)
-            if not su:
-                return float("inf")
-            return min(self._star_pair(s, v)[0] for s in su) + 1
-        su, sv = self.star_neighbors(u), self.star_neighbors(v)
+        u_star = self._is_star[u]
+        v_star = self._is_star[v]
+        if u_star:
+            if v_star:
+                entry = self._rows[u].get(v)
+                return float(entry[0]) if entry is not None else self._far[u]
+            su = (u,)
+            sv = self._snbrs[v]
+            hops = 1
+        else:
+            su = self._snbrs[u]
+            sv = (v,) if v_star else self._snbrs[v]
+            hops = 1 if v_star else 2
         if not su or not sv:
             return float("inf")
-        return min(
-            self._star_pair(a, b)[0] for a in su for b in sv
-        ) + 2
+        rows = self._rows
+        far = self._far
+        best = float("inf")
+        for a in su:
+            row = rows[a]
+            for b in sv:
+                if a == b:
+                    dist = 0.0
+                else:
+                    entry = row.get(b)
+                    dist = float(entry[0]) if entry is not None else far[a]
+                if dist < best:
+                    best = dist
+        return best + hops
 
     def retention_upper(self, u: int, v: int) -> float:
-        """Upper bound on best-path retention via the three cases."""
+        """Upper bound on best-path retention via the three cases.
+
+        Cases 2 and 3 take the maximum of ``d_a * ret(a, b)`` over the
+        same star pairs as :meth:`distance_lower` (``d_a`` only when
+        ``u`` is non-star, since the path then passes through ``a``),
+        then multiply by ``d_v`` for a non-star ``v``.
+        """
         self._check_fresh()
         if u == v:
             return 1.0
-        rate = self.dampening.rate
-        u_star, v_star = self._is_star[u], self._is_star[v]
-        if u_star and v_star:
-            return self._star_pair(u, v)[1]
-        if u_star and not v_star:
-            sv = self.star_neighbors(v)
+        u_star = self._is_star[u]
+        v_star = self._is_star[v]
+        rates = self._rates
+        if u_star:
+            if v_star:
+                entry = self._rows[u].get(v)
+                return entry[1] if entry is not None else self._beyond[u]
+            sv = self._snbrs[v]
             if not sv:
                 return 0.0
-            return max(self._star_pair(u, s)[1] for s in sv) * rate(v)
-        if not u_star and v_star:
-            su = self.star_neighbors(u)
-            if not su:
-                return 0.0
-            return max(rate(s) * self._star_pair(s, v)[1] for s in su)
-        su, sv = self.star_neighbors(u), self.star_neighbors(v)
+            row = self._rows[u]
+            best = 0.0
+            for b in sv:
+                if b == u:
+                    ret = 1.0
+                else:
+                    entry = row.get(b)
+                    ret = entry[1] if entry is not None else self._beyond[u]
+                if ret > best:
+                    best = ret
+            return best * rates[v]
+        su = self._snbrs[u]
+        sv = (v,) if v_star else self._snbrs[v]
         if not su or not sv:
             return 0.0
-        return max(
-            rate(a) * self._star_pair(a, b)[1] for a in su for b in sv
-        ) * rate(v)
+        rows = self._rows
+        beyond = self._beyond
+        best = 0.0
+        for a in su:
+            row = rows[a]
+            d_a = rates[a]
+            for b in sv:
+                if a == b:
+                    ret = 1.0
+                else:
+                    entry = row.get(b)
+                    ret = entry[1] if entry is not None else beyond[a]
+                value = d_a * ret
+                if value > best:
+                    best = value
+        return best if v_star else best * rates[v]
 
     # ---------------------------------------------------------- inspection
 

@@ -21,7 +21,7 @@ linear rate range "too large and inflexible"; the ablation bench
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, List, Optional
 
 from ..config import RWMPParams
 from ..exceptions import ReproError
@@ -69,7 +69,7 @@ def linear_dampening(p_max_ratio: float) -> DampeningFn:
 
 
 class DampeningModel:
-    """Caches per-node dampening rates for a graph's importance vector.
+    """Per-node dampening rates for a graph's importance vector.
 
     The model also owns the paper's surfer-count convention: the least
     important node hosts exactly one surfer, hence ``t = 1 / p_min``.
@@ -92,20 +92,36 @@ class DampeningModel:
         self.p_min = importance.p_min
         self.t = 1.0 / self.p_min
         self._fn = fn or log_dampening(self.params.alpha, self.params.g)
-        self._cache: Dict[int, float] = {}
+        self._rates: Optional[List[float]] = None
+
+    @property
+    def rates(self) -> List[float]:
+        """The rate table: ``rates[node]`` is ``d_node``, for every node.
+
+        Built on first use by applying the dampening function to each
+        node's importance ratio, so an out-of-range custom function
+        raises :class:`ReproError` at the first lookup rather than at
+        construction.  The search hot loops index this list directly;
+        treat it as read-only.
+        """
+        table = self._rates
+        if table is None:
+            fn = self._fn
+            p_min = self.p_min
+            table = []
+            for node, importance in enumerate(self.importance.values.tolist()):
+                value = fn(importance / p_min)
+                if not 0.0 < value <= 1.0:
+                    raise ReproError(
+                        f"dampening function returned {value} for node {node}"
+                    )
+                table.append(value)
+            self._rates = table
+        return table
 
     def rate(self, node: int) -> float:
         """Dampening rate ``d_node`` (fraction of messages kept)."""
-        cached = self._cache.get(node)
-        if cached is None:
-            ratio = self.importance[node] / self.p_min
-            cached = self._fn(ratio)
-            if not 0.0 < cached <= 1.0:
-                raise ReproError(
-                    f"dampening function returned {cached} for node {node}"
-                )
-            self._cache[node] = cached
-        return cached
+        return self.rates[node]
 
     def max_rate(self) -> float:
         """Dampening rate of the most important node (global upper bound)."""

@@ -42,14 +42,21 @@ over admitted candidates, though not the same order as the object
 path's int tuples; Theorem 1 makes the returned top-k identical up to
 tie classes either way, which is what the differential harness pins).
 
-Admission is an array append; pruned or duplicate candidates are
-reclaimed by :meth:`CandidateArena.rollback` to the
-:meth:`CandidateArena.mark` taken at admission start.  Only the arena
-*top* is ever rolled back — parents and merge partners are always
-older, already-tightened rows — so no live heap entry or merge-partner
-list can reference a reclaimed region (asserted when
-``BranchAndBoundSearch._debug_validate`` is set).  ``AnytimeSnapshot``
-carries ``arena_mark = len(arena)``, an O(1) high-water version stamp.
+Admission decides on the component lists before anything is stored:
+the signature dedup, the answer check, the distance prune and the
+cheap bound with its Lemma-1 prune all read the candidate's ascending
+node/edge/source lists (and the byte images the dedup signature needs
+anyway), and only a survivor is appended as a row.  The one exception
+is the initial single-node candidates, whose admission bound is the
+full ``ce/pe`` bound that :func:`arena_snapshots`' ``tighten`` computes
+from a stored row: they are appended at a :meth:`CandidateArena.mark`
+and reclaimed by :meth:`CandidateArena.rollback` when Lemma 1 prunes
+them.  Only the arena *top* is ever rolled back — parents and merge
+partners are always older, already-tightened rows — so no live heap
+entry or merge-partner list can reference a reclaimed region (asserted
+when ``BranchAndBoundSearch._debug_validate`` is set).
+``AnytimeSnapshot`` carries ``arena_mark = len(arena)``, an O(1)
+high-water version stamp.
 
 The factor lists of a candidate are **deferred**: they are built at
 tighten time from the parent's lists (parents and merge operands are
@@ -69,7 +76,7 @@ import heapq
 import time
 from array import array
 from bisect import insort
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..model.answer import RankedAnswer, RankedList
 
@@ -82,6 +89,10 @@ _LOW32 = 0xFFFFFFFF
 #: Approximate CPython overhead charged per ``cover`` list entry in
 #: :meth:`CandidateArena.nbytes` (small-int object + list slot).
 _COVER_SLOT_BYTES = 36
+
+#: Bytes :meth:`CandidateArena.nbytes` charges per row: the 12 int64
+#: scalar columns and the ``ub`` float64 column, plus the cover slot.
+_ROW_BYTES = 13 * 8 + _COVER_SLOT_BYTES
 
 
 def _keyword_mask(node_masks: Dict[int, int], node: int) -> int:
@@ -190,13 +201,22 @@ class CandidateArena:
         return len(self.root)
 
     def nbytes(self) -> int:
-        """Approximate bytes held by all columns and pools, O(1)."""
-        total = self._sig_bytes + _COVER_SLOT_BYTES * len(self.cover)
-        for name in self._INT_COLUMNS + self._INT_POOLS:
-            total += len(getattr(self, name)) * 8
-        for name in self._FLOAT_ARRAYS:
-            total += len(getattr(self, name)) * 8
-        return total
+        """Approximate bytes held by all columns and pools, O(1).
+
+        Every scalar column holds one entry per row, and the factor-list
+        table's ``flist_start``/``flist_len`` and ``flist_nbr``/
+        ``flist_tau`` pairs stay equal in length, so the sum over all
+        columns and pools closes over five lengths.
+        """
+        return (
+            self._sig_bytes
+            + _ROW_BYTES * len(self.root)
+            + 8 * (
+                len(self.node_pool) + len(self.edge_pool)
+                + len(self.src_pool) + len(self.fmap_pool)
+                + 2 * len(self.flist_start) + 2 * len(self.flist_nbr)
+            )
+        )
 
     def column(self, name: str):
         """Zero-copy numpy view of one column or pool.
@@ -228,23 +248,29 @@ class CandidateArena:
         cover: int,
         parent: int = NO_ID,
         partner: int = NO_ID,
+        node_bytes: Optional[bytes] = None,
+        edge_bytes: Optional[bytes] = None,
     ) -> int:
         """Append one candidate row; returns its id.
 
-        ``nodes``/``edge_codes``/``srcs`` must be ascending.  The bound
-        column starts at 0.0 and the factor map unbuilt (``-1``); the
-        engine fills both.
+        ``nodes``/``edge_codes``/``srcs`` must be ascending.  A caller
+        that already holds the ``array("q")`` byte images of the node
+        and edge lists (the engine's dedup signature) passes them as
+        ``node_bytes``/``edge_bytes`` and the pools are filled from them
+        instead of encoding the lists again.  The bound column starts at
+        0.0 and the factor map unbuilt (``-1``); the engine fills both.
         """
-        narr = array("q", nodes)
-        earr = array("q", edge_codes)
+        nb = array("q", nodes).tobytes() if node_bytes is None else node_bytes
+        eb = (
+            array("q", edge_codes).tobytes() if edge_bytes is None
+            else edge_bytes
+        )
         ns = len(self.node_pool)
-        self.node_pool.extend(narr)
+        self.node_pool.frombytes(nb)
         es = len(self.edge_pool)
-        self.edge_pool.extend(earr)
+        self.edge_pool.frombytes(eb)
         ss = len(self.src_pool)
-        self.src_pool.extend(array("q", srcs))
-        nb = narr.tobytes()
-        eb = earr.tobytes()
+        self.src_pool.extend(srcs)
         cid = len(self.root)
         self.root.append(root)
         self.depth.append(depth)
@@ -252,9 +278,9 @@ class CandidateArena:
         self.parent.append(parent)
         self.partner.append(partner)
         self.node_start.append(ns)
-        self.node_len.append(len(narr))
+        self.node_len.append(len(nb) >> 3)
         self.edge_start.append(es)
-        self.edge_len.append(len(earr))
+        self.edge_len.append(len(eb) >> 3)
         self.src_start.append(ss)
         self.src_len.append(len(srcs))
         self.fmap_start.append(NO_ID)
@@ -377,7 +403,7 @@ def arena_snapshots(search, heartbeat: int = 0):
     bounds = search.bounds
     graph = search.graph
     compiled = search._compiled
-    rate = scorer.dampening.rate
+    rates = scorer.dampening.rates
     semantics = params.semantics
     max_diameter = params.diameter
     strict = params.strict_merge
@@ -429,19 +455,20 @@ def arena_snapshots(search, heartbeat: int = 0):
         )
         assert len(arena.node_bytes) == n and len(arena.cover) == n
 
-    def materialize(cid: int):
-        """A trusted :class:`JoinedTupleTree` of one candidate row.
+    def materialize(node_list, edge_codes):
+        """A trusted :class:`JoinedTupleTree` of one candidate.
 
-        Treeness is guaranteed by construction (grow attaches a leaf,
-        merge unions at the shared root), exactly the cases the trusted
-        constructor exists for.
+        Built from the candidate's component lists, before (or without)
+        an arena row.  Treeness is guaranteed by construction (grow
+        attaches a leaf, merge unions at the shared root), exactly the
+        cases the trusted constructor exists for.
         """
         from ..model.jtt import JoinedTupleTree
 
-        nodes = frozenset(arena.nodes_of(cid))
+        nodes = frozenset(node_list)
         adj: Dict[int, List[int]] = {n: [] for n in nodes}
         edges = set()
-        for code in arena.edges_of(cid):
+        for code in edge_codes:
             a = code >> 32
             b = code & _LOW32
             edges.add((a, b))
@@ -505,11 +532,11 @@ def arena_snapshots(search, heartbeat: int = 0):
         for b in nbrs:
             den += out.get(b, 0.0)
         if den > 0.0:
-            taus = [out.get(b, 0.0) / den * rate(b) for b in nbrs]
+            taus = [out.get(b, 0.0) / den * rates[b] for b in nbrs]
         else:
             taus = [0.0] * len(nbrs)
         new_old = arena.add_flist(nbrs, taus)
-        new_root = arena.add_flist((old_root,), (rate(old_root),))
+        new_root = arena.add_flist((old_root,), (rates[old_root],))
         arena.set_fmap(cid, [
             new_root if n == root
             else new_old if n == old_root
@@ -527,16 +554,17 @@ def arena_snapshots(search, heartbeat: int = 0):
 
         Identical float operations in the same order as the object
         path's factor-list bound, reading contiguous ``flist`` arrays;
-        deferred factor lists are built here first.
+        deferred factor lists are built here first.  Untimed: the
+        caller books it as ``bound_seconds`` (admission) or
+        ``tighten_seconds`` (heap head).
         """
-        t0 = perf()
         if arena.fmap_start[cid] == NO_ID:
             build_fmap(cid)
         root = arena.root[cid]
         sources = arena.sources_of(cid)
         n_sources = len(sources)
         gen = scorer.generation
-        d_root = rate(root)
+        d_root = rates[root]
         fid_of = arena.fmap_of(cid)
 
         def deliver(source: int, initial: float) -> Dict[int, float]:
@@ -616,7 +644,6 @@ def arena_snapshots(search, heartbeat: int = 0):
         )
         ub = max(ce, pe)
         arena.ub[cid] = ub
-        stats.bound_seconds += perf() - t0
         stats.bound_evals += 1
         return ub
 
@@ -627,30 +654,27 @@ def arena_snapshots(search, heartbeat: int = 0):
         """Admit one candidate built from ascending component lists.
 
         Mirrors the object path's ``admit`` closure; ``inherited`` is
-        None for the tight-bounded initial candidates.  Returns the new
-        candidate id, or None when pruned or duplicate (the appended
-        row is then rolled back).
+        None for the tight-bounded initial candidates.  Every decision
+        up to the Lemma-1 prune reads the component lists, so only a
+        surviving candidate is appended; an initial candidate is
+        appended first (``tighten`` bounds a stored row) and rolled back
+        if pruned.  Returns the new candidate id, or None when pruned or
+        duplicate.
         """
         stats.generated += 1
         if diameter > max_diameter:
             stats.pruned_diameter += 1
             return None
-        mark = arena.mark()
-        cid = arena.append_candidate(
-            root, depth, diameter, nodes, edge_codes, srcs, cover,
-            parent, partner,
-        )
-        sig = (root, arena.node_bytes[cid], arena.edge_bytes[cid])
+        nb = array("q", nodes).tobytes()
+        eb = array("q", edge_codes).tobytes()
+        sig = (root, nb, eb)
         if sig in seen:
-            arena.rollback(mark)
-            if debug:
-                check_live()
             return None
         seen.add(sig)
         if semantics == "or" or cover == all_mask:
             # Answer check: complete (per semantics) and reduced —
             # every tree leaf covers a keyword.  Degrees come straight
-            # from the edge slice.
+            # from the edge list.
             if len(nodes) == 1:
                 reduced = _keyword_mask(node_masks, nodes[0]) != 0
             else:
@@ -666,7 +690,7 @@ def arena_snapshots(search, heartbeat: int = 0):
                 )
             if reduced:
                 t0 = perf()
-                tree = materialize(cid)
+                tree = materialize(nodes, edge_codes)
                 answer = RankedAnswer(tree, scorer.score(tree))
                 stats.score_seconds += perf() - t0
                 stats.answers_found += 1
@@ -695,9 +719,6 @@ def arena_snapshots(search, heartbeat: int = 0):
                     break
             if impossible:
                 stats.pruned_distance += 1
-                arena.rollback(mark)
-                if debug:
-                    check_live()
                 return None
         if inherited is not None:
             t0 = perf()
@@ -708,26 +729,40 @@ def arena_snapshots(search, heartbeat: int = 0):
                     ub = cap
                     stats.admit_capped += 1
             stats.cheap_bound_seconds += perf() - t0
+            stats.cheap_admissions += 1
+            if top_k.full and ub <= top_k.min_score():
+                # Lemma 1: nothing expandable from this candidate can
+                # beat the kept top-k (the signature stays in `seen`,
+                # matching the object path's drop-after-dedup semantics).
+                stats.pruned_bound += 1
+                return None
+            cid = arena.append_candidate(
+                root, depth, diameter, nodes, edge_codes, srcs, cover,
+                parent, partner, node_bytes=nb, edge_bytes=eb,
+            )
             arena.ub[cid] = ub
             tight = False
-            stats.cheap_admissions += 1
         else:
+            # Initial candidate: its tight bound reads a stored row, so
+            # append first and roll back if Lemma 1 prunes it.
+            mark = arena.mark()
+            cid = arena.append_candidate(
+                root, depth, diameter, nodes, edge_codes, srcs, cover,
+                parent, partner, node_bytes=nb, edge_bytes=eb,
+            )
+            t0 = perf()
             ub = tighten(cid)
-            tight = True
-        if top_k.full and ub <= top_k.min_score():
-            # Lemma 1: nothing expandable from this row can beat the
-            # kept top-k; reclaim it (the signature stays in `seen`,
-            # matching the object path's drop-after-dedup semantics).
-            stats.pruned_bound += 1
-            arena.rollback(mark)
-            if debug:
-                check_live()
-            return None
-        if tight:
+            stats.bound_seconds += perf() - t0
+            if top_k.full and ub <= top_k.min_score():
+                stats.pruned_bound += 1
+                arena.rollback(mark)
+                if debug:
+                    check_live()
+                return None
             by_root.setdefault(root, []).append(cid)
+            tight = True
         heapq.heappush(heap, (
-            (-ub, len(nodes), arena.node_bytes[cid], root,
-             arena.edge_bytes[cid]),
+            (-ub, len(nodes), nb, root, eb),
             tight, cid,
         ))
         stats.enqueued += 1
@@ -863,9 +898,15 @@ def arena_snapshots(search, heartbeat: int = 0):
                     arena_mark=len(arena),
                 )
             stats.expanded += 1
+            # Self time: the admissions expand() triggers book their
+            # own timers, subtracted here so the phase timers stay
+            # disjoint.
+            nested = stats.admission_seconds()
             t0 = perf()
             expand(cid)
-            stats.expand_seconds += perf() - t0
+            stats.expand_seconds += perf() - t0 - (
+                stats.admission_seconds() - nested
+            )
     finally:
         # Published in a finally so a consumer that closes the generator
         # at a yield (every deadline hit) still reports the arena's size.

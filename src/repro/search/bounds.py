@@ -72,6 +72,8 @@ class UpperBoundEstimator:
         self.scorer = scorer
         self.match: MatchSets = scorer.match
         self.index = index
+        #: Per-node dampening rates, indexed directly by the hot paths.
+        self._rates = scorer.dampening.rates
         # Compiled CSR view: binary-search adjacency tests and
         # pre-sorted neighbor arrays for the bound terms.
         self._compiled = graph.compiled()
@@ -132,10 +134,8 @@ class UpperBoundEstimator:
     def _max_enq_rate(self) -> float:
         """Maximum dampening rate among all non-free nodes of the query."""
         if self._max_rate_enq is None:
-            rates = [
-                self.scorer.dampening.rate(node)
-                for node in self.match.all_nodes
-            ]
+            table = self._rates
+            rates = [table[node] for node in self.match.all_nodes]
             self._max_rate_enq = max(rates) if rates else 1.0
         return self._max_rate_enq
 
@@ -148,9 +148,9 @@ class UpperBoundEstimator:
         """
         cached = self._nbr_rate_cache.get(node)
         if cached is None:
-            rate = self.scorer.dampening.rate
+            rates = self._rates
             neighbors = self._compiled.neighbors(node)
-            cached = max((rate(n) for n in neighbors), default=1.0)
+            cached = max((rates[n] for n in neighbors), default=1.0)
             self._nbr_rate_cache[node] = cached
         return cached
 
@@ -218,8 +218,7 @@ class UpperBoundEstimator:
             missing: the missing keywords (must be non-empty).
             sources: the candidate's non-free nodes (non-empty).
         """
-        rate = self.scorer.dampening.rate
-        d_root = rate(root)
+        d_root = self._rates[root]
         gk_min = float("inf")
         for keyword in missing:
             key = (root, keyword)
@@ -286,11 +285,11 @@ class UpperBoundEstimator:
         """
         cached = self._pe_cache.get(root)
         if cached is None:
-            rate = self.scorer.dampening.rate
+            rates = self._rates
             keywords_of = self.match.keywords_of
             cached = []
             for x in self.match.all_nodes:
-                d_x = rate(x)
+                d_x = rates[x]
                 if self.index is not None:
                     ret = min(d_x, self._index_retention(root, x))
                 elif self._adjacent(root, x):
@@ -491,8 +490,7 @@ class UpperBoundEstimator:
         if not sources:
             return 0.0
         gen = self.scorer.generation
-        rate = self.scorer.dampening.rate
-        d_root = rate(root)
+        d_root = self._rates[root]
 
         factors = cand.transfer
         if factors is None:

@@ -113,17 +113,22 @@ class SearchStats:
             bound fell below the next head.
         admit_capped: cheap admissions whose bound was lowered by the
             index-assisted admit cap (arena engine, AND semantics).
-        bound_seconds: wall-clock spent in full bound evaluations
-            (admit-time tight bounds plus head tightening).
+        bound_seconds: wall-clock spent in full bound evaluations at
+            admission (the initial candidates, and every admission in
+            eager mode); head tightening is booked separately.
         cheap_bound_seconds: wall-clock spent computing admit-time
-            cheap bounds (inherited value plus the admit cap) —
-            previously lumped into ``bound_seconds``, which hid where
-            the lazy path's admission time actually goes.
-        tighten_seconds: the subset of ``bound_seconds`` spent
-            tightening cheaply-admitted candidates at the heap head.
-        expand_seconds: wall-clock spent generating grows/merges
-            (excluding the admit work accounted above).
+            cheap bounds (inherited value plus the admit cap).
+        tighten_seconds: wall-clock spent in full bound evaluations of
+            cheaply-admitted candidates at the heap head.
+        expand_seconds: self time of generating grows/merges: the
+            expansion's wall-clock minus the bound, cheap-bound and
+            scoring time of the admissions it triggers.
         score_seconds: wall-clock spent scoring complete answers.
+
+        The five phase timers above are disjoint, so their sum never
+        exceeds the search's wall-clock time; the remainder is
+        unattributed loop overhead (heap operations, dedup, pruning
+        outside an expansion, snapshot yields).
         cache_lookup_seconds: wall-clock the system spent probing the
             cross-query answer cache for this search.
         served_from_cache: True when the system answered from the
@@ -139,8 +144,11 @@ class SearchStats:
             of the run (arena engine only).
         arena_peak_bytes: high-water mark of the arena's column/pool
             storage across the run (arena engine only).
-        arena_rollbacks: admissions reclaimed by arena rollback
-            (duplicates and pruned candidates; arena engine only).
+        arena_rollbacks: rows appended and then reclaimed by arena
+            rollback — only initial candidates, whose tight admission
+            bound needs a stored row, and then only when Lemma 1 prunes
+            them; every other admission decides before appending (arena
+            engine only).
     """
 
     expanded: int = 0
@@ -168,6 +176,10 @@ class SearchStats:
     arena_candidates: int = 0
     arena_peak_bytes: int = 0
     arena_rollbacks: int = 0
+
+    def admission_seconds(self) -> float:
+        """Timed admission work: full and cheap bounds plus scoring."""
+        return self.bound_seconds + self.cheap_bound_seconds + self.score_seconds
 
 
 @dataclass(frozen=True)
@@ -270,10 +282,12 @@ class BranchAndBoundSearch:
         return snapshot.answers if snapshot is not None else []
 
     def _tight_bound(self, cand: CandidateTree) -> float:
-        """One timed full bound evaluation, cached on the candidate."""
-        start = time.perf_counter()
+        """One full bound evaluation, cached on the candidate.
+
+        Untimed: the caller books it as ``bound_seconds`` (admission)
+        or ``tighten_seconds`` (heap head).
+        """
         ub = self.bounds.upper_bound(cand)
-        self.stats.bound_seconds += time.perf_counter() - start
         self.stats.bound_evals += 1
         cand.cached_ub = ub
         return ub
@@ -366,7 +380,9 @@ class BranchAndBoundSearch:
                 tight = False
                 stats.cheap_admissions += 1
             else:
+                start = time.perf_counter()
                 ub = self._tight_bound(cand)
+                stats.bound_seconds += time.perf_counter() - start
                 tight = True
             if top_k.full and ub <= top_k.min_score():
                 # Lemma 1: every answer expandable from this candidate —
@@ -447,9 +463,15 @@ class BranchAndBoundSearch:
                     proven_optimal=False,
                 )
             stats.expanded += 1
+            # Self time: the admissions _expand triggers book their own
+            # timers (bound, cheap bound, scoring), subtracted here so
+            # the phase timers stay disjoint.
+            nested = stats.admission_seconds()
             start = time.perf_counter()
             self._expand(cand, admit, by_root)
-            stats.expand_seconds += time.perf_counter() - start
+            stats.expand_seconds += time.perf_counter() - start - (
+                stats.admission_seconds() - nested
+            )
 
         self.last_proven = proven
         stats.snapshots_yielded += 1

@@ -58,7 +58,9 @@ from .stats import COUNTER_FIELDS, ServingStats
 
 logger = logging.getLogger(__name__)
 
-#: Span-attribute / metric label per SearchStats phase timer.
+#: Span-attribute / metric label per SearchStats phase timer.  The
+#: search phases are disjoint self times (see ``SearchStats``), so the
+#: per-phase counters add up to the attributed search time.
 _PHASE_FIELDS = (
     ("bound", "bound_seconds"),
     ("cheap_bound", "cheap_bound_seconds"),

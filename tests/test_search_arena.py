@@ -31,6 +31,7 @@ the sweep here runs with it enabled.
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -59,6 +60,10 @@ PARITY_SEEDS = 25
 #: Per-search cap on tightened rows re-checked against the reference
 #: bound (the reference recomputes transfer state from scratch).
 RECHECK_CAP = 120
+
+#: A tiny-IMDB query whose search tightens at the heap head, expands
+#: with merges and scores answers, so every phase timer runs.
+PHASE_QUERY = "crimson electric"
 
 
 def _search_for_seed(seed: int, engine: str, **overrides):
@@ -228,6 +233,37 @@ def test_abandoned_run_publishes_arena_counters(tiny_dblp_system):
     assert stats.engine == "arena" and not stats.served_from_cache
     assert stats.arena_candidates > 0
     assert stats.arena_peak_bytes > 0
+
+
+@pytest.mark.parametrize("engine", ["arena", "object"])
+def test_phase_timers_are_disjoint(tiny_imdb_system, engine):
+    """The five ``SearchStats`` phase timers never overlap.
+
+    On a query that tightens candidates at the heap head and scores
+    answers, their sum cannot exceed the wall time around ``run()``.
+    A timer nested inside another — head tightening inside the bound
+    timer, or the cheap bounds and scoring of admissions inside the
+    expansion timer — would count the same seconds twice.
+    """
+    system = tiny_imdb_system
+    match = system.matcher.match(PHASE_QUERY)
+    params = dataclasses.replace(
+        system.search_params, engine=engine, k=5, diameter=4
+    )
+    search = BranchAndBoundSearch(
+        system.graph, system.scorer_for(match), match, params
+    )
+    start = time.perf_counter()
+    search.run()
+    wall = time.perf_counter() - start
+    stats = search.stats
+    assert stats.tightened > 0 and stats.answers_found > 0
+    phases = (
+        stats.bound_seconds, stats.cheap_bound_seconds,
+        stats.tighten_seconds, stats.expand_seconds, stats.score_seconds,
+    )
+    assert all(seconds > 0.0 for seconds in phases), phases
+    assert sum(phases) <= wall, (phases, wall)
 
 
 def test_rollback_regions_never_reachable():
