@@ -45,7 +45,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .config import ENGINES
 from .datasets.dblp import DblpConfig, generate_dblp
 from .datasets.imdb import ImdbConfig, generate_imdb
 from .datasets.workloads import WorkloadConfig, generate_workload
@@ -96,14 +95,13 @@ def _print_search_stats(system: CIRankSystem) -> None:
             print(f"  expand (self):   {stats.expand_seconds:.6f}s")
             print(f"  scoring:         {stats.score_seconds:.6f}s")
             print(f"  cache lookup:    {stats.cache_lookup_seconds:.6f}s")
-            print(f"engine:            {stats.engine}")
-            if stats.engine == "arena":
-                print(f"  candidates:      {stats.arena_candidates}")
-                print(f"  peak bytes:      {stats.arena_peak_bytes}")
-                print(
-                    "  rolled back:     "
-                    f"{stats.arena_rollbacks} pruned initial rows"
-                )
+            print("arena:")
+            print(f"  candidates:      {stats.arena_candidates}")
+            print(f"  peak bytes:      {stats.arena_peak_bytes}")
+            print(
+                "  rolled back:     "
+                f"{stats.arena_rollbacks} pruned initial rows"
+            )
     caches = dict(system.last_cache_stats or {})
     answers_snap = caches.pop("answers", None)
     if answers_snap is not None:
@@ -173,9 +171,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     elif args.star_index and system.graph_index is None:
         system.build_star_index(workers=args.workers)
-    answers = system.search(
-        args.query, k=args.k, diameter=args.diameter, engine=args.engine,
-    )
+    answers = system.search(args.query, k=args.k, diameter=args.diameter)
     if not answers:
         print("no answers")
         if args.stats:
@@ -424,7 +420,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                     k=args.k,
                     diameter=args.diameter,
                     deadline_ms=args.deadline_ms,
-                    engine=args.engine,
                 )
         except ServingRequestFailed as exc:
             print(f"request failed: {exc}", file=sys.stderr)
@@ -641,7 +636,6 @@ def _plan_from_stats(args: argparse.Namespace):
     cache = document.get("answer_cache") or {}
     reference = PlanCandidate(
         name="reference",
-        engine=defaults.engine,
         diameter=defaults.diameter,
         answer_cache_size=int(cache.get("maxsize", 256)),
         notes=("assumed defaults; /stats carries no search config",),
@@ -684,12 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--load", default="", help="saved deployment directory"
-    )
-    p_search.add_argument(
-        "--engine", choices=ENGINES, default="arena",
-        help="branch-and-bound candidate representation (the flat "
-             "arena is the fast default; the object path is the "
-             "reference implementation kept for bisection)",
     )
     p_search.add_argument(
         "--json", action="store_true", help="also print the ranking as JSON"
@@ -862,9 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_client.add_argument(
         "--deadline-ms", type=float, default=None,
         help="per-query deadline override",
-    )
-    p_client.add_argument(
-        "--engine", choices=ENGINES, default=None
     )
     p_client.add_argument(
         "--json", action="store_true", help="print the raw response JSON"

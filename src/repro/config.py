@@ -36,9 +36,6 @@ DEFAULT_GROUP_SIZE = 20.0
 DEFAULT_K = 5
 DEFAULT_DIAMETER = 4
 
-#: Candidate representations of the lazy branch-and-bound loop.
-ENGINES = ("arena", "object")
-
 
 @dataclass(frozen=True)
 class RWMPParams:
@@ -89,23 +86,6 @@ class SearchParams:
             every keyword) or ``"or"`` (answers may cover any non-empty
             subset; the SPARK-style relaxation).  OR mode widens the
             answer space and weakens the search bounds accordingly.
-        lazy_bounds: when True (default), candidates are admitted on a
-            cheap inherited bound and the full ``ce/pe`` bound is only
-            computed when they reach the head of the priority queue
-            (lazy best-first evaluation — see docs/ALGORITHMS.md §2.6).
-            Both modes return identical top-k up to tie classes; False
-            restores the eager per-candidate bound evaluation, mainly
-            useful for differential testing and benchmarking.
-        engine: candidate representation of the lazy search loop.
-            ``"arena"`` (default) stores candidates in a flat columnar
-            arena (:mod:`repro.search.arena`) — admission is an array
-            append and heap entries carry integer candidate ids;
-            ``"object"`` keeps the per-candidate
-            :class:`~repro.search.candidate.CandidateTree` objects (the
-            reference implementation the arena is differentially pinned
-            against).  Both engines return identical top-k up to tie
-            classes.  Eager evaluation (``lazy_bounds=False``) always
-            runs the object path regardless of this setting.
     """
 
     k: int = DEFAULT_K
@@ -113,8 +93,6 @@ class SearchParams:
     strict_merge: bool = True
     max_candidates: int = 0
     semantics: str = "and"
-    lazy_bounds: bool = True
-    engine: str = "arena"
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -126,10 +104,6 @@ class SearchParams:
         if self.semantics not in ("and", "or"):
             raise ReproError(
                 f"semantics must be 'and' or 'or', got {self.semantics!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ReproError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
 
 

@@ -216,7 +216,6 @@ def replay(
                         k=record.get("k"),
                         diameter=record.get("diameter"),
                         deadline_ms=deadline if honor_deadlines else None,
-                        engine=record.get("engine") or None,
                     )
                 except Exception as exc:
                     item.error = type(exc).__name__
@@ -294,7 +293,6 @@ def verify_parity(system: Any, report: ReplayReport) -> int:
             record.get("query", ""),
             record.get("k"),
             record.get("diameter"),
-            record.get("engine") or "",
         )
         if key in verified:
             checked += 1
@@ -304,8 +302,6 @@ def verify_parity(system: Any, report: ReplayReport) -> int:
             kwargs["k"] = int(record["k"])
         if record.get("diameter") is not None:
             kwargs["diameter"] = int(record["diameter"])
-        if record.get("engine"):
-            kwargs["engine"] = record["engine"]
         direct = system.search(record.get("query", ""), **kwargs)
         assert tie_classes_wire(response["answers"]) == (
             tie_classes_direct(direct)

@@ -8,7 +8,7 @@ replay or a planner needs:
 
 ``ts``           wall-clock arrival (epoch seconds)
 ``query``        the raw query text
-``k/diameter/deadline_ms/engine``  the request's resolved parameters
+``k/diameter/deadline_ms``  the request's resolved parameters
 ``fingerprint``  the params fingerprint (dedup key component)
 ``origin``       how it was served: ``cache`` / ``coalesced`` / ``search``
 ``latency_ms``   served latency
@@ -18,7 +18,9 @@ replay or a planner needs:
 :class:`QueryLogWriter` rotates at ``max_bytes`` (``log`` →
 ``log.1`` → … → ``log.N``, oldest dropped) so capture can run
 indefinitely; :func:`read_query_log` reads the backups oldest-first so
-records come back in arrival order.
+records come back in arrival order.  Logs written while requests could
+still choose a search engine carry an ``engine`` key (and an ``e=`` part
+in the fingerprint); it is ignored.
 
 :class:`Workload` turns a capture into a replayable description: it
 dedups records on (query text, params fingerprint) into
@@ -155,7 +157,6 @@ class WorkloadEntry:
     k: int = 5
     diameter: Optional[int] = None
     deadline_ms: float = 0.0
-    engine: str = ""
     fingerprint: str = ""
 
     def request(self) -> Dict[str, Any]:
@@ -165,8 +166,6 @@ class WorkloadEntry:
             payload["diameter"] = self.diameter
         if self.deadline_ms:
             payload["deadline_ms"] = self.deadline_ms
-        if self.engine:
-            payload["engine"] = self.engine
         return payload
 
 
@@ -204,7 +203,6 @@ class Workload:
                     k=int(record.get("k", 5)),
                     diameter=int(diameter) if diameter is not None else None,
                     deadline_ms=float(record.get("deadline_ms", 0.0) or 0.0),
-                    engine=str(record.get("engine", "") or ""),
                     fingerprint=str(record.get("fingerprint", "")),
                 )
             else:
@@ -255,7 +253,6 @@ class Workload:
                 k=e.k,
                 diameter=e.diameter,
                 deadline_ms=e.deadline_ms,
-                engine=e.engine,
                 fingerprint=e.fingerprint,
             )
             for e in self.entries
@@ -285,7 +282,6 @@ class Workload:
                     "k": e.k,
                     "diameter": e.diameter,
                     "deadline_ms": e.deadline_ms,
-                    "engine": e.engine,
                 }
                 for e in sorted(
                     self.entries,
@@ -302,7 +298,6 @@ def capture_record(
     k: int,
     diameter: Optional[int],
     deadline_ms: float,
-    engine: Optional[str],
     fingerprint: str,
     origin: str,
     latency_ms: float,
@@ -318,7 +313,6 @@ def capture_record(
         "k": k,
         "diameter": diameter,
         "deadline_ms": deadline_ms,
-        "engine": engine or "",
         "fingerprint": fingerprint,
         "origin": origin,
         "latency_ms": latency_ms,

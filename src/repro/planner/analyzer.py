@@ -26,7 +26,7 @@ replay round.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from ..exceptions import ReproError
@@ -61,7 +61,6 @@ class WorkloadFeatures:
     deadline_fraction: float = 0.0
     deadline_p50_ms: float = 0.0
     deadline_p95_ms: float = 0.0
-    engines: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -93,12 +92,6 @@ class WorkloadFeatures:
             f" arrivals (p50 {self.deadline_p50_ms:.0f}ms"
             f" p95 {self.deadline_p95_ms:.0f}ms)",
         ]
-        if self.engines:
-            mix = " ".join(
-                f"{name or 'default'}={count}"
-                for name, count in sorted(self.engines.items())
-            )
-            lines.append(f"  engines:             {mix}")
         return "\n".join(lines)
 
 
@@ -222,7 +215,7 @@ def analyze_workload(
     else:
         features.free_connector_ratio = features.multi_keyword_fraction
 
-    # ---- SLA + engine mix
+    # ---- SLA
     deadline_arrivals = [
         e.deadline_ms for e in entries for _ in range(e.arrival_count)
         if e.deadline_ms > 0
@@ -231,11 +224,6 @@ def analyze_workload(
     if deadline_arrivals:
         features.deadline_p50_ms = percentile(deadline_arrivals, 50)
         features.deadline_p95_ms = percentile(deadline_arrivals, 95)
-    engines: Dict[str, int] = {}
-    for entry in entries:
-        name = entry.engine or "default"
-        engines[name] = engines.get(name, 0) + entry.arrival_count
-    features.engines = engines
     return features
 
 

@@ -1,7 +1,7 @@
 """Plan candidates and the heuristic cost model that seeds them.
 
 A :class:`PlanCandidate` is one concrete configuration over the real
-knob space: search engine, a diameter cap, graph index
+knob space: a diameter cap, graph index
 kind/horizon, answer-cache capacity, and the serving pool/batching
 knobs.  Candidates are *deltas from the running configuration* — the
 :func:`reference_candidate` mirrors what the system has now, and the
@@ -46,7 +46,6 @@ class PlanCandidate:
     """One concrete configuration over the planner's knob space."""
 
     name: str
-    engine: str = "arena"
     diameter: Optional[int] = None
     index_kind: Optional[str] = None
     index_horizon: int = 8
@@ -59,10 +58,9 @@ class PlanCandidate:
 
     def search_params(self, base: SearchParams) -> SearchParams:
         """``base`` with this candidate's search knobs applied."""
-        overrides: Dict[str, Any] = {"engine": self.engine}
-        if self.diameter is not None:
-            overrides["diameter"] = self.diameter
-        return dataclasses.replace(base, **overrides)
+        if self.diameter is None:
+            return base
+        return dataclasses.replace(base, diameter=self.diameter)
 
     def serving_params(self, base: ServingParams) -> ServingParams:
         """``base`` with this candidate's serving knobs applied."""
@@ -76,7 +74,7 @@ class PlanCandidate:
     def knobs(self) -> Tuple:
         """Structural identity (everything but name/notes) for dedup."""
         return (
-            self.engine, self.diameter, self.index_kind,
+            self.diameter, self.index_kind,
             self.index_horizon, self.index_workers,
             self.answer_cache_size, self.workers, self.max_batch_size,
             self.max_wait_ms,
@@ -89,6 +87,8 @@ class PlanCandidate:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PlanCandidate":
+        # Unknown keys are dropped, among them the ``engine`` that plans
+        # written before the engine knob was removed carry.
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs = {k: v for k, v in payload.items() if k in known}
         kwargs["notes"] = tuple(kwargs.get("notes") or ())
@@ -109,7 +109,6 @@ def reference_candidate(
     )
     return PlanCandidate(
         name="reference",
-        engine=params.engine,
         diameter=params.diameter,
         index_kind=index_kind,
         index_horizon=(

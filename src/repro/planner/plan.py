@@ -322,8 +322,6 @@ def _measure_direct(
                 kwargs["k"] = int(record["k"])
             if record.get("diameter") is not None:
                 kwargs["diameter"] = int(record["diameter"])
-            if record.get("engine"):
-                kwargs["engine"] = record["engine"]
             t0 = time.perf_counter()
             failed = timed_out = False
             try:
@@ -447,15 +445,13 @@ def _leg_deadline_ms(reference_measurement: Dict[str, Any]) -> Optional[float]:
 
 
 def _class_key(entry: Any) -> Tuple:
-    return (entry.query, entry.k, entry.diameter, entry.engine or "")
+    return (entry.query, entry.k, entry.diameter)
 
 
 def _class_answers(system: Any, entry: Any):
     kwargs: Dict[str, Any] = {"k": entry.k}
     if entry.diameter is not None:
         kwargs["diameter"] = entry.diameter
-    if entry.engine:
-        kwargs["engine"] = entry.engine
     return system.search(entry.query, **kwargs)
 
 

@@ -49,10 +49,12 @@ class RWMPScorer:
     pass — the dict-based :func:`~repro.rwmp.messages.pass_messages`
     remains available as the reference oracle.
 
-    Three bounded LRU caches back the scorer (all sized by
-    ``cache_size``): generation counts, tree scores, and compiled tree
-    kernels.  :meth:`cache_stats` exposes their hit/miss/eviction
-    counters (surfaced by the CLI's ``--stats`` flag).
+    Two bounded LRU caches back the scorer (both sized by
+    ``cache_size``): tree scores and compiled tree kernels.
+    :meth:`cache_stats` exposes their hit/miss/eviction counters
+    (surfaced by the CLI's ``--stats`` flag).  Generation counts are a
+    per-query constant of each node the search asks about — at most one
+    per matched node — so they live in a plain dict that never evicts.
 
     Args:
         graph: the data graph.
@@ -75,7 +77,7 @@ class RWMPScorer:
         self.match = match
         self.dampening = dampening
         self._cache_size = cache_size
-        self._generation_cache: LRUCache = LRUCache(cache_size)
+        self._generation: Dict[int, float] = {}
         self._tree_cache: LRUCache = LRUCache(cache_size)
         self._kernel_cache: LRUCache = LRUCache(cache_size)
 
@@ -83,7 +85,7 @@ class RWMPScorer:
 
     def generation(self, node: int) -> float:
         """``r_ii = t * p_i * |v_i ∩ Q| / |v_i|`` (0 for free nodes)."""
-        cached = self._generation_cache.get(node)
+        cached = self._generation.get(node)
         if cached is not None:
             return cached
         keywords = self.match.keywords_of.get(node)
@@ -99,7 +101,7 @@ class RWMPScorer:
             else:
                 surfers = self.dampening.surfers(node)
                 value = surfers * matched_words / total_words
-        self._generation_cache.put(node, value)
+        self._generation[node] = value
         return value
 
     def sources_in(self, tree: JoinedTupleTree) -> List[int]:
@@ -154,7 +156,6 @@ class RWMPScorer:
     def cache_stats(self) -> Dict[str, CacheStats]:
         """Hit/miss/eviction snapshots of the scorer's caches."""
         return {
-            "generation": self._generation_cache.stats(),
             "tree_score": self._tree_cache.stats(),
             "tree_kernel": self._kernel_cache.stats(),
         }

@@ -1,14 +1,13 @@
 """Flat candidate arena: columnar storage for the lazy search loop.
 
-After PR 5 the lazy search admits ~6x more candidates than the eager
-configuration ever evaluates, so per-candidate *admission* cost — object
-allocation, tuple maintenance, dict-of-tuples transfer maps — dominates
-the search phase.  This module replaces the per-object
-:class:`~repro.search.candidate.CandidateTree` representation with a
-**flat arena**: one :class:`CandidateArena` per search run holding every
-candidate as a row across parallel ``array('q')``/``array('d')`` columns
-(zero-copy viewable as numpy arrays via :meth:`CandidateArena.column`),
-indexed by an integer candidate id.
+The lazy search admits far more candidates than it ever tightens, so
+per-candidate *admission* cost — object allocation, tuple maintenance,
+transfer maps — would dominate the search phase.  The search therefore
+keeps its candidates in a **flat arena**: one :class:`CandidateArena`
+per search run holding every candidate as a row across parallel
+``array('q')``/``array('d')`` columns (zero-copy viewable as numpy
+arrays via :meth:`CandidateArena.column`), indexed by an integer
+candidate id.
 
 Layout
 ------
@@ -38,9 +37,7 @@ Two Python-list side columns carry the per-candidate ``cover`` bitmask
 (arbitrary keyword count) and the memoized little-endian byte images of
 the node/edge slices, used both as dedup signatures and as heap-key
 tie-break components (bytes compare lexicographically — a total order
-over admitted candidates, though not the same order as the object
-path's int tuples; Theorem 1 makes the returned top-k identical up to
-tie classes either way, which is what the differential harness pins).
+over admitted candidates).
 
 Admission decides on the component lists before anything is stored:
 the signature dedup, the answer check, the distance prune and the
@@ -55,14 +52,13 @@ them.  Only the arena *top* is ever rolled back — parents and merge
 partners are always older, already-tightened rows — so no live heap
 entry or merge-partner list can reference a reclaimed region (asserted
 when ``BranchAndBoundSearch._debug_validate`` is set).
-``AnytimeSnapshot`` carries ``arena_mark = len(arena)``, an O(1)
-high-water version stamp.
 
 The factor lists of a candidate are **deferred**: they are built at
 tighten time from the parent's lists (parents and merge operands are
 always tightened before they expand, so their lists exist), which keeps
-the admit path free of per-node float work.  Admit-time bounding uses
-the inherited parent bound capped by
+the admit path free of per-node float work; the full bound itself is
+:meth:`~repro.search.bounds.UpperBoundEstimator.arena_bound`.
+Admit-time bounding uses the inherited parent bound capped by
 :meth:`~repro.search.bounds.UpperBoundEstimator.admit_cap` — the
 index-assisted completion cap (docs/ALGORITHMS.md §2.8).
 
@@ -379,20 +375,17 @@ class CandidateArena:
 
 
 def arena_snapshots(search, heartbeat: int = 0):
-    """The arena-backed lazy search loop (Algorithm 1, engine="arena").
+    """The lazy search loop (Algorithm 1) over arena rows.
 
-    A generator with the exact contract of
-    :meth:`BranchAndBoundSearch.snapshots` (including the ``heartbeat``
-    cadence for deadline-bounded consumers), dispatched to when
-    ``params.lazy_bounds and params.engine == "arena"``.  Control flow
-    mirrors the object path statement for statement — same admission
-    order (diameter prune, signature dedup, answer offer, distance
-    prune, bound, Lemma-1 prune, registration, push), same stop rule,
-    head tightening, re-push and merge-partner discipline — so the two
-    engines return identical top-k up to tie classes (pinned by the
-    differential harness).  Only the candidate representation differs:
-    rows in a :class:`CandidateArena` instead of ``CandidateTree``
-    objects, with heap entries carrying integer candidate ids.
+    The body of :meth:`BranchAndBoundSearch.snapshots`, with its exact
+    contract (including the ``heartbeat`` cadence for deadline-bounded
+    consumers).  Admission runs in a fixed order — diameter prune,
+    signature dedup, answer offer, distance prune, bound, Lemma-1
+    prune, registration, push — followed by the stop rule, head
+    tightening, re-push and merge-partner discipline described in
+    :mod:`repro.search.branch_and_bound`.  Heap entries carry integer
+    candidate ids; the returned top-k equals the exhaustive oracle's up
+    to tie classes (pinned by the differential harness).
     """
     from .branch_and_bound import AnytimeSnapshot
 
@@ -407,12 +400,11 @@ def arena_snapshots(search, heartbeat: int = 0):
     semantics = params.semantics
     max_diameter = params.diameter
     strict = params.strict_merge
-    use_cap = search.use_admit_cap and semantics == "and"
     debug = search._debug_validate
-    per_keyword = match.per_keyword
-    index = bounds.index
     cheap_bound = search._cheap_bound
     admit_cap = bounds.admit_cap
+    full_bound = bounds.arena_bound
+    completion_impossible = bounds.completion_impossible
     perf = time.perf_counter
 
     keywords = list(match.keywords)
@@ -438,7 +430,6 @@ def arena_snapshots(search, heartbeat: int = 0):
     arena = CandidateArena()
     search.last_arena = arena
     search.last_proven = False
-    stats.engine = "arena"
     top_k = RankedList(params.k)
     heap: List = []
     seen = set()
@@ -544,105 +535,19 @@ def arena_snapshots(search, heartbeat: int = 0):
             for n in nodes
         ])
 
-    flist_start = arena.flist_start
-    flist_len = arena.flist_len
-    flist_nbr = arena.flist_nbr
-    flist_tau = arena.flist_tau
-
     def tighten(cid: int) -> float:
-        """The full ``ce/pe`` bound of one row (mirrors ``upper_bound``).
+        """The full ``ce/pe`` bound of one row, stored as its ``ub``.
 
-        Identical float operations in the same order as the object
-        path's factor-list bound, reading contiguous ``flist`` arrays;
-        deferred factor lists are built here first.  Untimed: the
-        caller books it as ``bound_seconds`` (admission) or
-        ``tighten_seconds`` (heap head).
+        Deferred factor lists are built here first.  Untimed: the caller
+        books it as ``bound_seconds`` (admission) or ``tighten_seconds``
+        (heap head).
         """
         if arena.fmap_start[cid] == NO_ID:
             build_fmap(cid)
-        root = arena.root[cid]
-        sources = arena.sources_of(cid)
-        n_sources = len(sources)
-        gen = scorer.generation
-        d_root = rates[root]
-        fid_of = arena.fmap_of(cid)
-
-        def deliver(source: int, initial: float) -> Dict[int, float]:
-            out: Dict[int, float] = {}
-            if initial <= 0.0:
-                return out
-            stack = [(source, -1, initial)]
-            while stack:
-                node, par, value = stack.pop()
-                f = fid_of[node]
-                s = flist_start[f]
-                for i in range(s, s + flist_len[f]):
-                    nbr = flist_nbr[i]
-                    if nbr != par:
-                        kept = value * flist_tau[i]
-                        out[nbr] = kept
-                        if flist_len[fid_of[nbr]] > 1:
-                            stack.append((nbr, node, kept))
-            return out
-
-        gens = []
-        fbar = []
-        fbar_to_root_min = float("inf")
-        for u in sources:
-            g = gen(u)
-            gens.append(g)
-            delivered = deliver(u, g)
-            fbar.append(delivered)
-            to_root = g if u == root else delivered.get(root, 0.0)
-            if to_root < fbar_to_root_min:
-                fbar_to_root_min = to_root
-
-        missing = (
-            () if semantics == "or" else missing_of(arena.cover[cid])
+        ub = full_bound(
+            arena, cid,
+            () if semantics == "or" else missing_of(arena.cover[cid]),
         )
-        if missing or n_sources == 1:
-            inside = deliver(root, 1.0)
-            inside[root] = 1.0
-        else:
-            inside = {}
-        node_set = set(arena.nodes_of(cid))
-        g_of = {
-            k: bounds._best_outside_gen(k, node_set, root, d_root)
-            for k in missing
-        }
-
-        total = 0.0
-        for i in range(n_sources):
-            v = sources[i]
-            best = float("inf")
-            for j in range(n_sources):
-                if j != i:
-                    val = fbar[j].get(v, 0.0)
-                    if val < best:
-                        best = val
-            if missing:
-                inside_v = inside.get(v, 0.0)
-                for k in missing:
-                    term = g_of[k] * inside_v
-                    if term < best:
-                        best = term
-            if best == float("inf"):
-                # Lone complete source (see upper_bound): T may equal C,
-                # or gain sources whose deliveries bound v's new min.
-                outside_best = max(
-                    (
-                        bounds._best_outside_gen(k, node_set, root, d_root)
-                        for k in match.keywords
-                    ),
-                    default=0.0,
-                )
-                best = max(gens[i], outside_best * inside.get(v, 0.0))
-            total += best
-        ce = total / n_sources
-        pe = bounds._potential_estimate(
-            root, node_set, fbar_to_root_min, missing
-        )
-        ub = max(ce, pe)
         arena.ub[cid] = ub
         stats.bound_evals += 1
         return ub
@@ -653,8 +558,8 @@ def arena_snapshots(search, heartbeat: int = 0):
               parent, partner, inherited):
         """Admit one candidate built from ascending component lists.
 
-        Mirrors the object path's ``admit`` closure; ``inherited`` is
-        None for the tight-bounded initial candidates.  Every decision
+        ``inherited`` is None for the tight-bounded initial candidates
+        and the parents' latest bound otherwise.  Every decision
         up to the Lemma-1 prune reads the component lists, so only a
         surviving candidate is appended; an initial candidate is
         appended first (``tighten`` bounds a stored row) and rolled back
@@ -696,34 +601,15 @@ def arena_snapshots(search, heartbeat: int = 0):
                 stats.answers_found += 1
                 top_k.offer(answer)
         missing = () if semantics == "or" else missing_of(cover)
-        if missing:
-            # completion_impossible, arena-native: O(n * |M|) membership
-            # scans over the (small) node list instead of building
-            # per-keyword outside lists from scratch.
-            impossible = False
-            budget = max_diameter - depth
-            for k in missing:
-                outside = [
-                    n for n in per_keyword.get(k, ()) if n not in nodes
-                ]
-                if not outside:
-                    impossible = True  # keyword cannot be supplied
-                    break
-                if index is None:
-                    continue
-                if budget < 1 or all(
-                    bounds._index_distance(root, n) > budget
-                    for n in outside
-                ):
-                    impossible = True
-                    break
-            if impossible:
-                stats.pruned_distance += 1
-                return None
+        if missing and completion_impossible(
+            root, depth, nodes, missing, max_diameter
+        ):
+            stats.pruned_distance += 1
+            return None
         if inherited is not None:
             t0 = perf()
-            ub = cheap_bound(inherited, None)
-            if use_cap and missing:
+            ub = cheap_bound(inherited)
+            if missing:
                 cap = admit_cap(root, missing, srcs)
                 if cap < ub:
                     ub = cap
@@ -732,8 +618,7 @@ def arena_snapshots(search, heartbeat: int = 0):
             stats.cheap_admissions += 1
             if top_k.full and ub <= top_k.min_score():
                 # Lemma 1: nothing expandable from this candidate can
-                # beat the kept top-k (the signature stays in `seen`,
-                # matching the object path's drop-after-dedup semantics).
+                # beat the kept top-k (its signature stays in `seen`).
                 stats.pruned_bound += 1
                 return None
             cid = arena.append_candidate(
@@ -871,7 +756,6 @@ def arena_snapshots(search, heartbeat: int = 0):
                     answers=top_k.as_list(),
                     frontier_bound=ub,
                     proven_optimal=False,
-                    arena_mark=len(arena),
                 )
             if not tight:
                 t0 = perf()
@@ -895,7 +779,6 @@ def arena_snapshots(search, heartbeat: int = 0):
                     answers=top_k.as_list(),
                     frontier_bound=ub,
                     proven_optimal=False,
-                    arena_mark=len(arena),
                 )
             stats.expanded += 1
             # Self time: the admissions expand() triggers book their
@@ -920,5 +803,4 @@ def arena_snapshots(search, heartbeat: int = 0):
         answers=top_k.as_list(),
         frontier_bound=frontier,
         proven_optimal=proven,
-        arena_mark=len(arena),
     )

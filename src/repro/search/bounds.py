@@ -36,6 +36,13 @@ missing keyword must exist in any completion).  Every node of
 ``avg(A ∪ B) <= max(avg A, max B)``:
 
     score(T) <= max( ce = avg_{v∈S} b(v),  pe )            (Lemma 1)
+
+The search evaluates this bound on rows of its candidate arena
+(:meth:`UpperBoundEstimator.arena_bound`, with structurally shared
+factor lists and memoized per-root tables).
+:meth:`UpperBoundEstimator.upper_bound` evaluates it from scratch on a
+:class:`CandidateTree`; it is the reference the tests check
+admissibility on, and the arena's bound equals it bitwise.
 """
 
 from __future__ import annotations
@@ -251,8 +258,8 @@ class UpperBoundEstimator:
         """``G_k``: best ``gen(x) * ret(x -> root)`` over ``En(k) \\ C``.
 
         ``nodes`` is any set-like container of the candidate's node ids —
-        a ``frozenset`` on the object path, a plain ``set`` built from an
-        arena slice on the arena path.
+        a plain ``set`` built from an arena slice, or a reference
+        candidate's ``frozenset``.
         """
         best = 0.0
         for gen, node in self._keyword_candidates(keyword):
@@ -355,10 +362,9 @@ class UpperBoundEstimator:
     ) -> float:
         """The uncached ``pe`` (see :meth:`_potential_estimate`).
 
-        Recomputes every retention factor from the graph on each call;
-        kept verbatim as the independent implementation the memoized
-        fast path is differentially checked against, and as part of the
-        ``upper_bound_reference`` benchmark baseline.
+        Recomputes every retention factor from the graph on each call:
+        the reference bound (:meth:`upper_bound`) uses it so that it
+        shares no per-root table with the search's bound.
         """
         rate = self.scorer.dampening.rate
         caps = {k: self._max_gen_outside(k, cand.tree.nodes) for k in missing}
@@ -415,43 +421,17 @@ class UpperBoundEstimator:
         return adj, tau
 
     @staticmethod
-    def _deliver(
-        adj: Dict[int, Tuple[int, ...]],
-        tau: Dict[Tuple[int, int], float],
-        source: int,
-        initial: float,
-    ) -> Dict[int, float]:
-        """Deliveries from ``source`` to every other node under ``tau``."""
-        delivered: Dict[int, float] = {}
-        if initial <= 0.0:
-            return {n: 0.0 for n in adj if n != source}
-        stack = [(source, -1, initial)]
-        while stack:
-            node, parent, value = stack.pop()
-            for nbr in adj[node]:
-                if nbr != parent:
-                    kept = value * tau[(node, nbr)]
-                    delivered[nbr] = kept
-                    stack.append((nbr, node, kept))
-        for n in adj:
-            if n != source and n not in delivered:
-                delivered[n] = 0.0
-        return delivered
-
-    @staticmethod
     def _deliver_factors(
         factors: Dict[int, Tuple[Tuple[int, float], ...]],
         source: int,
         initial: float,
     ) -> Dict[int, float]:
-        """Delivery pass over per-node ``(neighbor, factor)`` lists.
+        """Deliveries from ``source`` to every other tree node.
 
-        Same semantics as :meth:`_deliver`, but the transfer factor
-        rides along with the neighbor in the candidate's structurally
-        shared factor lists (:mod:`repro.search.candidate`), so the hot
-        loop never hashes an edge tuple or rebuilds adjacency.  A
-        non-positive initial value short-circuits to an empty mapping —
-        read results with ``.get(node, 0.0)``.
+        ``factors`` maps each node to its ``(neighbor, tau)`` list; a
+        delivery is the product of the factors along the unique tree
+        path.  A non-positive initial value short-circuits to an empty
+        mapping — read results with ``.get(node, 0.0)``.
         """
         out: Dict[int, float] = {}
         if initial <= 0.0:
@@ -471,18 +451,119 @@ class UpperBoundEstimator:
 
     # -------------------------------------------------------------- bounds
 
-    def upper_bound(self, cand: CandidateTree) -> float:
-        """``ub(C) = max(ce(C), pe(C))`` — admissible by Lemma 1.
+    def arena_bound(self, arena, cid: int, missing) -> float:
+        """``ub(C) = max(ce(C), pe(C))`` of one arena row (Lemma 1).
 
-        Fast path: when the candidate carries incrementally maintained
-        transfer factor lists (see :mod:`repro.search.candidate`) they
-        are used directly — a grow/merge chain never rebuilds adjacency
-        or the per-edge ``tau`` map, and the delivery passes iterate the
-        candidate's shared factor lists.  Candidates built without a
-        :class:`~repro.search.candidate.TransferContext` fall back to
-        the full :meth:`_tree_transfer` rebuild; both paths multiply
-        identical factors along identical paths, so the bound value is
-        bitwise the same (pinned by tests/test_properties_search_cache).
+        The search's full bound.  It reads the row's factor lists (the
+        engine builds them before the call) from the arena's flat
+        ``flist`` arrays and the per-root tables of
+        :meth:`_potential_estimate`, and performs the same float
+        operations in the same order as the from-scratch
+        :meth:`upper_bound`, so the two agree bitwise (pinned by
+        tests/test_search_arena.py).  A method of its own so the
+        mutation tests can break it on purpose.
+
+        Args:
+            arena: the search's
+                :class:`~repro.search.arena.CandidateArena`.
+            cid: the row id.
+            missing: the row's missing keywords (empty under OR).
+        """
+        root = arena.root[cid]
+        sources = arena.sources_of(cid)
+        n_sources = len(sources)
+        gen = self.scorer.generation
+        d_root = self._rates[root]
+        fid_of = arena.fmap_of(cid)
+        flist_start = arena.flist_start
+        flist_len = arena.flist_len
+        flist_nbr = arena.flist_nbr
+        flist_tau = arena.flist_tau
+
+        def deliver(source: int, initial: float) -> Dict[int, float]:
+            out: Dict[int, float] = {}
+            if initial <= 0.0:
+                return out
+            stack = [(source, -1, initial)]
+            while stack:
+                node, par, value = stack.pop()
+                f = fid_of[node]
+                s = flist_start[f]
+                for i in range(s, s + flist_len[f]):
+                    nbr = flist_nbr[i]
+                    if nbr != par:
+                        kept = value * flist_tau[i]
+                        out[nbr] = kept
+                        if flist_len[fid_of[nbr]] > 1:
+                            stack.append((nbr, node, kept))
+            return out
+
+        gens = []
+        fbar = []
+        fbar_to_root_min = float("inf")
+        for u in sources:
+            g = gen(u)
+            gens.append(g)
+            delivered = deliver(u, g)
+            fbar.append(delivered)
+            to_root = g if u == root else delivered.get(root, 0.0)
+            if to_root < fbar_to_root_min:
+                fbar_to_root_min = to_root
+
+        if missing or n_sources == 1:
+            inside = deliver(root, 1.0)
+            inside[root] = 1.0
+        else:
+            inside = {}
+        node_set = set(arena.nodes_of(cid))
+        g_of = {
+            k: self._best_outside_gen(k, node_set, root, d_root)
+            for k in missing
+        }
+
+        total = 0.0
+        for i in range(n_sources):
+            v = sources[i]
+            best = float("inf")
+            for j in range(n_sources):
+                if j != i:
+                    val = fbar[j].get(v, 0.0)
+                    if val < best:
+                        best = val
+            if missing:
+                inside_v = inside.get(v, 0.0)
+                for k in missing:
+                    term = g_of[k] * inside_v
+                    if term < best:
+                        best = term
+            if best == float("inf"):
+                # Lone complete source (see upper_bound): T may equal C,
+                # or gain sources whose deliveries bound v's new min.
+                outside_best = max(
+                    (
+                        self._best_outside_gen(k, node_set, root, d_root)
+                        for k in self.match.keywords
+                    ),
+                    default=0.0,
+                )
+                best = max(gens[i], outside_best * inside.get(v, 0.0))
+            total += best
+        ce = total / n_sources
+        pe = self._potential_estimate(
+            root, node_set, fbar_to_root_min, missing
+        )
+        return max(ce, pe)
+
+    def upper_bound(self, cand: CandidateTree) -> float:
+        """``ub(C) = max(ce(C), pe(C))`` from scratch — the reference.
+
+        Rebuilds the transfer factors from the tree
+        (:meth:`_tree_transfer`) and runs the uncached
+        :meth:`_potential_estimate_reference`, so it shares no factor
+        list or per-root table with :meth:`arena_bound`.  The search
+        never calls it: the admissibility tests check it against
+        enumerated answers, and the arena's bound is pinned to it
+        bitwise.
         """
         tree = cand.tree
         root = cand.root
@@ -490,14 +571,10 @@ class UpperBoundEstimator:
         if not sources:
             return 0.0
         gen = self.scorer.generation
-        d_root = self._rates[root]
+        d_root = self.scorer.dampening.rate(root)
 
-        factors = cand.transfer
-        if factors is None:
-            adj, tau = self._tree_transfer(tree, root)
-            factors = {
-                a: tuple((b, tau[(a, b)]) for b in adj[a]) for a in adj
-            }
+        adj, tau = self._tree_transfer(tree, root)
+        factors = {a: tuple((b, tau[(a, b)]) for b in adj[a]) for a in adj}
         deliver = self._deliver_factors
         gens = []
         fbar = []
@@ -556,103 +633,46 @@ class UpperBoundEstimator:
             total += best
         ce = total / n_sources
 
-        pe = self._potential_estimate(
-            root, tree.nodes, fbar_to_root_min, missing
-        )
-        return max(ce, pe)
-
-    def upper_bound_reference(self, cand: CandidateTree) -> float:
-        """The dict-based eager bound (the pre-optimization reference).
-
-        Rebuilds the full transfer map from the graph and runs dict-keyed
-        per-source delivery passes on every call.  Kept as the
-        independent implementation the fast path is differentially
-        checked against, and as the baseline of
-        ``benchmarks/test_search_speedup.py``.
-        """
-        tree = cand.tree
-        root = cand.root
-        sources = tree.non_free_nodes(self.match)
-        if not sources:
-            return 0.0
-        gen = self.scorer.generation
-        rate = self.scorer.dampening.rate
-        d_root = rate(root)
-
-        adj, tau = self._tree_transfer(tree, root)
-        fbar: Dict[int, Dict[int, float]] = {
-            u: self._deliver(adj, tau, u, gen(u)) for u in sources
-        }
-        fbar_to_root = {
-            u: (gen(u) if u == root else fbar[u].get(root, 0.0))
-            for u in sources
-        }
-        inside = self._deliver(adj, tau, root, 1.0)
-        inside[root] = 1.0
-
-        if self.semantics == "or":
-            missing: frozenset = frozenset()
-        else:
-            missing = frozenset(self.match.keywords) - cand.covered
-        g_of = {
-            k: self._best_outside_gen(k, tree.nodes, root, d_root)
-            for k in missing
-        }
-
-        bounds: Dict[int, float] = {}
-        for v in sources:
-            terms = [fbar[u][v] for u in sources if u != v]
-            terms.extend(g_of[k] * inside[v] for k in missing)
-            if terms:
-                bounds[v] = min(terms)
-            else:
-                # Lone complete source: T may equal C (score = gen(v)), or
-                # gain extra sources whose deliveries bound v's new min.
-                outside_best = max(
-                    (
-                        self._best_outside_gen(k, tree.nodes, root, d_root)
-                        for k in self.match.keywords
-                    ),
-                    default=0.0,
-                )
-                bounds[v] = max(gen(v), outside_best * inside[v])
-        ce = sum(bounds.values()) / len(bounds)
-
         pe = self._potential_estimate_reference(
-            cand, min(fbar_to_root.values()), missing
+            cand, fbar_to_root_min, missing
         )
         return max(ce, pe)
 
     # ------------------------------------------------------------- pruning
 
-    def completion_impossible(self, cand: CandidateTree, max_diameter: int) -> bool:
+    def completion_impossible(
+        self, root: int, depth: int, nodes, missing, max_diameter: int
+    ) -> bool:
         """Distance-based pruning: no completion can respect the cap.
 
         For every missing keyword some matching node must eventually attach
         through the (current or a future) root; as shown in DESIGN.md the
         final diameter is then at least ``dist(root, En(k)) + depth(C)``,
         which is safe to test with any *lower bound* on the distance.
-        Without an index this check is skipped (the paper's no-index
-        configuration has no distance information either).
+        Without an index only the keyword-supply test runs (the paper's
+        no-index configuration has no distance information either).
+
+        Args:
+            root: the candidate's root node.
+            depth: the candidate's depth (longest root-to-node path).
+            nodes: the candidate's node ids (anything supporting ``in``).
+            missing: the keywords the candidate does not cover — empty
+                under OR semantics, where nothing is required to attach.
+            max_diameter: the diameter cap ``D``.
         """
-        if self.semantics == "or":
-            return False  # nothing is ever *required* to attach
-        missing = frozenset(self.match.keywords) - cand.covered
-        if not missing:
-            return False
+        budget = max_diameter - depth
         for keyword in missing:
-            nodes = self.match.per_keyword.get(keyword, set())
-            outside = [n for n in nodes if n not in cand.tree.nodes]
+            outside = [
+                n for n in self.match.per_keyword.get(keyword, ())
+                if n not in nodes
+            ]
             if not outside:
                 return True  # keyword cannot be supplied at all
             if self.index is None:
                 continue
-            budget = max_diameter - cand.depth
-            if budget < 1:
-                return True  # attaching anything would exceed the cap
-            if all(
-                self._index_distance(cand.root, n) > budget
-                for n in outside
+            if budget < 1 or all(
+                self._index_distance(root, n) > budget for n in outside
             ):
+                # attaching anything would exceed the cap
                 return True
         return False

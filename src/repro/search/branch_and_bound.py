@@ -10,12 +10,12 @@ Implementation notes:
 
 * every candidate whose *tight* bound beats the kept top-k is registered
   per root so later candidates with the same root can merge against it
-  (the paper's Line 16); under lazy evaluation registration waits until
-  the tight bound is known — a cheaply-admitted candidate that never
-  reaches tightening is bounded below the kept top-k, so skipping its
-  merges is the same Lemma-1 prune that drops it, and every pair whose
-  members both survive tightening still merges (the later-registered one
-  sweeps the full partner list when it expands);
+  (the paper's Line 16); registration waits until the tight bound is
+  known — a cheaply-admitted candidate that never reaches tightening is
+  bounded below the kept top-k, so skipping its merges is the same
+  Lemma-1 prune that drops it, and every pair whose members both
+  survive tightening still merges (the later-registered one sweeps the
+  full partner list when it expands);
 * candidates are deduplicated by (root, tree) signature;
 * a candidate pruned because ``ub <= minscore`` is safe to drop entirely:
   any answer expandable from it is bounded by that same ``ub`` (see the
@@ -24,7 +24,7 @@ Implementation notes:
   index is available — via distance lower bounds
   (:meth:`UpperBoundEstimator.completion_impossible`).
 
-Lazy bound tightening (``SearchParams.lazy_bounds``, the default):
+Lazy bound tightening:
 
 * at admit time a child candidate inherits the cheapest admissible bound
   available — its parent's latest bound for a grow, the minimum of both
@@ -36,58 +36,26 @@ Lazy bound tightening (``SearchParams.lazy_bounds``, the default):
   candidate reaches the heap head and its inherited bound still beats
   the kept top-k.  If tightening drops it below the next head it is
   re-pushed with the tight key instead of expanded — classic lazy
-  best-first evaluation.  Expansion order can differ from the eager
-  configuration but remains a pure function of the input (the heap key
-  is a structural total order), and the returned top-k is identical up
-  to tie classes (pinned by the differential oracle).
+  best-first evaluation.  The expansion order is a pure function of the
+  input (the heap key is a structural total order), and the returned
+  top-k equals the exhaustive oracle's up to tie classes.
 
-See docs/ALGORITHMS.md §2.6 for the soundness argument.
-
-Engines (``SearchParams.engine``): the lazy loop runs either over flat
-columnar candidate rows (``"arena"``, the default — see
-:mod:`repro.search.arena`) or over per-object :class:`CandidateTree`
-candidates (``"object"``, the reference implementation both engines are
-differentially pinned against).  Eager evaluation always runs the
-object path.
+See docs/ALGORITHMS.md §2.6 for the soundness argument.  The loop runs
+over flat columnar candidate rows (:mod:`repro.search.arena`).
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
 from ..config import SearchParams
 from ..exceptions import SearchError
 from ..graph.datagraph import DataGraph
-from ..model.answer import RankedAnswer, RankedList
+from ..model.answer import RankedAnswer
 from ..rwmp.scoring import RWMPScorer
 from ..text.matcher import MatchSets
 from .bounds import UpperBoundEstimator
-from .candidate import CandidateTree, Signature, TransferContext
-
-
-def _heap_key(ub: float, cand: CandidateTree):
-    """Deterministic priority: bound first, then a structural total order.
-
-    Ties on the upper bound are broken by (node count, node-id tuple,
-    root, edge tuple) — a total order over admitted candidates (the
-    signature dedup guarantees no two share root *and* tree), so the
-    expansion order is a pure function of the input and never depends on
-    insertion order.  Smaller trees expand first within a tie, matching
-    the enumeration order of the exhaustive oracle.  The node/edge
-    tuples are memoized on the candidate and maintained incrementally
-    by grow/merge, so building a key allocates nothing but the tuple
-    itself.
-    """
-    return (
-        -ub,
-        len(cand.tree.nodes),
-        cand.sorted_nodes,
-        cand.root,
-        cand.sorted_edges,
-    )
 
 
 @dataclass
@@ -112,10 +80,10 @@ class SearchStats:
         repushed: tightened candidates re-enqueued because the tight
             bound fell below the next head.
         admit_capped: cheap admissions whose bound was lowered by the
-            index-assisted admit cap (arena engine, AND semantics).
+            index-assisted admit cap (AND semantics).
         bound_seconds: wall-clock spent in full bound evaluations at
-            admission (the initial candidates, and every admission in
-            eager mode); head tightening is booked separately.
+            admission (the initial candidates); head tightening is
+            booked separately.
         cheap_bound_seconds: wall-clock spent computing admit-time
             cheap bounds (inherited value plus the admit cap).
         tighten_seconds: wall-clock spent in full bound evaluations of
@@ -138,17 +106,14 @@ class SearchStats:
             (improvements + heartbeats + the final one); the serving
             layer reads it off slow-query span dumps to judge whether a
             deadline overshoot came from a too-sparse heartbeat.
-        engine: candidate representation that ran — ``"arena"`` or
-            ``"object"`` (eager evaluation always reports "object").
         arena_candidates: candidate rows live in the arena at the end
-            of the run (arena engine only).
+            of the run.
         arena_peak_bytes: high-water mark of the arena's column/pool
-            storage across the run (arena engine only).
+            storage across the run.
         arena_rollbacks: rows appended and then reclaimed by arena
             rollback — only initial candidates, whose tight admission
             bound needs a stored row, and then only when Lemma 1 prunes
-            them; every other admission decides before appending (arena
-            engine only).
+            them; every other admission decides before appending.
     """
 
     expanded: int = 0
@@ -172,7 +137,6 @@ class SearchStats:
     cache_lookup_seconds: float = 0.0
     served_from_cache: bool = False
     snapshots_yielded: int = 0
-    engine: str = "object"
     arena_candidates: int = 0
     arena_peak_bytes: int = 0
     arena_rollbacks: int = 0
@@ -193,15 +157,11 @@ class AnytimeSnapshot:
         proven_optimal: True on the final snapshot when the search
             terminated through the bound test or queue exhaustion —
             the answers are then the true top-k (Theorem 1).
-        arena_mark: O(1) high-water version stamp of the candidate
-            arena at snapshot time (the number of live candidate rows)
-            under the arena engine; None on the object path.
     """
 
     answers: List[RankedAnswer]
     frontier_bound: float
     proven_optimal: bool
-    arena_mark: Optional[int] = None
 
     @property
     def gap(self) -> float:
@@ -220,21 +180,14 @@ class BranchAndBoundSearch:
         graph: the data graph.
         scorer: the query's RWMP scorer.
         match: the query's match sets (must be the scorer's).
-        params: search parameters (k, diameter cap, merge mode, lazy
-            bound evaluation).
+        params: search parameters (k, diameter cap, merge mode).
         index: optional pairs/star index for bound tightening and
             distance pruning.
     """
 
-    #: Whether the arena engine applies the index-assisted admit cap
-    #: (:meth:`UpperBoundEstimator.admit_cap`) on top of the inherited
-    #: cheap bound.  A class default so benchmarks can disable it per
-    #: instance to measure the representation change in isolation.
-    use_admit_cap = True
-
-    #: When set (tests), the arena engine asserts after every rollback
-    #: that no live heap entry or merge-partner id references the
-    #: reclaimed region.
+    #: When set (tests), the engine asserts after every rollback that
+    #: no live heap entry or merge-partner id references the reclaimed
+    #: region.
     _debug_validate = False
 
     def __init__(
@@ -260,16 +213,10 @@ class BranchAndBoundSearch:
         #: results.
         self.last_proven = False
         # Compiled CSR view: pre-sorted neighbor tuples for the
-        # expansion loop (replaces sorted(graph.neighbors(...)) per
-        # expansion).
+        # expansion loop.
         self._compiled = graph.compiled()
-        # Incremental transfer maintenance for grow/merge (see
-        # repro.search.candidate); the bound estimator consumes the
-        # per-candidate factors instead of rebuilding them.
-        self._ctx = TransferContext(graph, scorer.dampening.rate)
-        #: The flat candidate arena of the most recent arena-engine run
-        #: (None before the first run or on the object path) — the
-        #: CLI's ``--stats`` arena section and the tests read it.
+        #: The flat candidate arena of the most recent run (None before
+        #: the first), kept for inspection after the run.
         self.last_arena = None
 
     # --------------------------------------------------------------- public
@@ -281,26 +228,14 @@ class BranchAndBoundSearch:
             pass
         return snapshot.answers if snapshot is not None else []
 
-    def _tight_bound(self, cand: CandidateTree) -> float:
-        """One full bound evaluation, cached on the candidate.
-
-        Untimed: the caller books it as ``bound_seconds`` (admission)
-        or ``tighten_seconds`` (heap head).
-        """
-        ub = self.bounds.upper_bound(cand)
-        self.stats.bound_evals += 1
-        cand.cached_ub = ub
-        return ub
-
-    def _cheap_bound(self, inherited: float, cand: CandidateTree) -> float:
+    def _cheap_bound(self, inherited: float) -> float:
         """The admit-time bound for a candidate with known parents.
 
         ``inherited`` is the minimum of the parents' latest admissible
-        bounds; any answer expandable from ``cand`` is expandable from
-        each parent, so the value is admissible for ``cand`` too.
+        bounds; any answer expandable from the candidate is expandable
+        from each parent, so the value is admissible for it too.
         Factored out so the mutation tests can break it on purpose.
         """
-        del cand  # the inherited value alone bounds every completion
         return inherited
 
     def snapshots(self, heartbeat: int = 0):
@@ -317,7 +252,7 @@ class BranchAndBoundSearch:
         Consumers can stop iterating at any time; the last snapshot's
         ``frontier_bound`` is the quality certificate: no unseen answer
         can score above it (cheap inherited bounds are admissible, so
-        the certificate holds in lazy mode too).
+        the certificate holds before tightening too).
 
         Args:
             heartbeat: when > 0, additionally yield a snapshot every
@@ -328,229 +263,6 @@ class BranchAndBoundSearch:
                 cadence.  The yielded sequence of *improvements* is
                 identical either way.
         """
-        params = self.params
-        lazy = params.lazy_bounds
-        if lazy and params.engine == "arena":
-            # The flat-arena engine (repro.search.arena): identical
-            # control flow over columnar candidate rows.  Local import —
-            # arena.py imports AnytimeSnapshot from this module.
-            from .arena import arena_snapshots
-            yield from arena_snapshots(self, heartbeat)
-            return
-        stats = self.stats
-        stats.engine = "object"
-        self.last_proven = False
-        top_k = RankedList(params.k)
-        heap: List = []
-        seen: Set[Signature] = set()
-        by_root: Dict[int, List[CandidateTree]] = {}
-
-        def admit(
-            cand: CandidateTree, inherited: Optional[float] = None
-        ) -> bool:
-            """Register, score-if-complete, bound, and enqueue a candidate.
-
-            Returns True when the candidate was new (not a duplicate), so
-            the merge cascade knows whether to continue through it.
-            """
-            stats.generated += 1
-            if cand.diameter > params.diameter:
-                stats.pruned_diameter += 1
-                return False
-            signature = cand.signature()
-            if signature in seen:
-                return False
-            seen.add(signature)
-            if cand.is_answer(self.match, params.diameter, params.semantics):
-                start = time.perf_counter()
-                answer = RankedAnswer(cand.tree, self.scorer.score(cand.tree))
-                stats.score_seconds += time.perf_counter() - start
-                stats.answers_found += 1
-                top_k.offer(answer)
-            if self.bounds.completion_impossible(cand, params.diameter):
-                # No completion can exist through any future root or merge,
-                # so expanding (or merging through) this candidate is futile.
-                stats.pruned_distance += 1
-                return False
-            if lazy and inherited is not None:
-                start = time.perf_counter()
-                ub = self._cheap_bound(inherited, cand)
-                stats.cheap_bound_seconds += time.perf_counter() - start
-                cand.cached_ub = ub
-                tight = False
-                stats.cheap_admissions += 1
-            else:
-                start = time.perf_counter()
-                ub = self._tight_bound(cand)
-                stats.bound_seconds += time.perf_counter() - start
-                tight = True
-            if top_k.full and ub <= top_k.min_score():
-                # Lemma 1: every answer expandable from this candidate —
-                # via grows or merges — scores at most `ub`, which cannot
-                # beat the kept top-k; safe to drop the whole subtree of
-                # the search space.
-                stats.pruned_bound += 1
-                return False
-            if tight:
-                # Merge-partner registration waits for a surviving tight
-                # bound (see the module docstring); cheap admissions
-                # register at head-tightening instead.
-                by_root.setdefault(cand.root, []).append(cand)
-            heapq.heappush(heap, (_heap_key(ub, cand), tight, cand))
-            stats.enqueued += 1
-            return True
-
-        for node in sorted(self.match.all_nodes):
-            admit(CandidateTree.initial(node, self.match))
-
-        last_revision = -1
-        proven = True
-        frontier = float("-inf")
-        ticks = 0
-        while heap:
-            key, tight, cand = heapq.heappop(heap)
-            ub = -key[0]
-            if top_k.full and ub <= top_k.min_score():
-                # everything unexplored (this candidate included) is
-                # bounded by its ub — the stop rule's certificate
-                # (admissible whether the head's bound is cheap or tight)
-                stats.stopped_early = True
-                frontier = ub
-                break
-            if (
-                params.max_candidates
-                and stats.expanded >= params.max_candidates
-            ):
-                proven = False
-                frontier = ub
-                break
-            ticks += 1
-            if heartbeat and ticks % heartbeat == 0:
-                # Heartbeat snapshot: the head's bound is an admissible
-                # cap on everything undiscovered, so the gap certificate
-                # is valid mid-search too.
-                stats.snapshots_yielded += 1
-                yield AnytimeSnapshot(
-                    answers=top_k.as_list(),
-                    frontier_bound=ub,
-                    proven_optimal=False,
-                )
-            if not tight:
-                # Lazy tightening: pay for the full bound only now that
-                # the candidate leads the frontier and still beats the
-                # kept top-k.
-                start = time.perf_counter()
-                ub = self._tight_bound(cand)
-                stats.tighten_seconds += time.perf_counter() - start
-                stats.tightened += 1
-                if top_k.full and ub <= top_k.min_score():
-                    stats.pruned_bound += 1
-                    continue
-                # The tight bound survived: the candidate becomes a
-                # merge partner (exactly once — re-pushed entries carry
-                # tight=True).
-                by_root.setdefault(cand.root, []).append(cand)
-                if heap and ub < -heap[0][0][0]:
-                    heapq.heappush(heap, (_heap_key(ub, cand), True, cand))
-                    stats.repushed += 1
-                    continue
-            if top_k.revision != last_revision:
-                last_revision = top_k.revision
-                stats.snapshots_yielded += 1
-                yield AnytimeSnapshot(
-                    answers=top_k.as_list(),
-                    frontier_bound=ub,
-                    proven_optimal=False,
-                )
-            stats.expanded += 1
-            # Self time: the admissions _expand triggers book their own
-            # timers (bound, cheap bound, scoring), subtracted here so
-            # the phase timers stay disjoint.
-            nested = stats.admission_seconds()
-            start = time.perf_counter()
-            self._expand(cand, admit, by_root)
-            stats.expand_seconds += time.perf_counter() - start - (
-                stats.admission_seconds() - nested
-            )
-
-        self.last_proven = proven
-        stats.snapshots_yielded += 1
-        yield AnytimeSnapshot(
-            answers=top_k.as_list(),
-            frontier_bound=frontier,
-            proven_optimal=proven,
-        )
-
-    # -------------------------------------------------------------- expand
-
-    def _expand(self, cand: CandidateTree, admit, by_root) -> None:
-        """Generate ``cand``'s grows and merges.
-
-        The two evaluation modes expand differently:
-
-        * eager — the seed behavior: newly admitted candidates are merged
-          against all registered same-root candidates immediately, and
-          merge results re-enter the cascade.  Sound because eager admit
-          bound-prunes before registering, which cuts the cascade;
-        * lazy — merges happen at *pop* time only: ``cand`` (just
-          registered with a surviving tight bound) merges against the
-          registered same-root partners, and children enqueue without
-          cascading.  Deferring the merge work to tightening keeps the
-          loose cheap bounds from breeding merge products that the tight
-          bound would have pruned.  Pair completeness holds because
-          whichever partner expands later sweeps the full registered
-          list.
-        """
-        if self.params.lazy_bounds:
-            self._expand_lazy(cand, admit, by_root)
-        else:
-            self._expand_eager(cand, admit, by_root)
-
-    def _expand_lazy(self, cand: CandidateTree, admit, by_root) -> None:
-        parent_ub = cand.cached_ub
-        if cand.depth + 1 <= self.params.diameter:
-            for neighbor in self._compiled.neighbors(cand.root):
-                if neighbor not in cand.tree.nodes:
-                    admit(
-                        cand.grow(neighbor, self.match, self._ctx),
-                        parent_ub,
-                    )
-        for partner in list(by_root.get(cand.root, ())):
-            if partner is cand:
-                continue
-            if cand.depth + partner.depth > self.params.diameter:
-                # the merged tree would break the cap; skip before
-                # paying for the union construction
-                self.stats.generated += 1
-                self.stats.pruned_diameter += 1
-                continue
-            merged = cand.merge(partner, strict=self.params.strict_merge)
-            if merged is not None:
-                partner_ub = partner.cached_ub
-                if parent_ub is not None and partner_ub is not None:
-                    admit(merged, min(parent_ub, partner_ub))
-                else:
-                    admit(merged)
-
-    def _expand_eager(self, cand: CandidateTree, admit, by_root) -> None:
-        work: List[CandidateTree] = []
-        if cand.depth + 1 <= self.params.diameter:
-            for neighbor in self._compiled.neighbors(cand.root):
-                if neighbor not in cand.tree.nodes:
-                    work.append(cand.grow(neighbor, self.match, self._ctx))
-        while work:
-            current = work.pop()
-            if not admit(current):
-                continue
-            # `admit` registered `current`; snapshot partners so the
-            # iteration is stable while the cascade appends new ones.
-            for partner in list(by_root.get(current.root, ())):
-                if current.depth + partner.depth > self.params.diameter:
-                    # the merged tree would break the cap; skip before
-                    # paying for the union construction
-                    self.stats.generated += 1
-                    self.stats.pruned_diameter += 1
-                    continue
-                merged = current.merge(partner, strict=self.params.strict_merge)
-                if merged is not None:
-                    work.append(merged)
+        # Local import: arena.py imports AnytimeSnapshot from here.
+        from .arena import arena_snapshots
+        yield from arena_snapshots(self, heartbeat)

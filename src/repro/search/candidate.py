@@ -17,105 +17,25 @@ The paper's merge precondition ("the result covers more keywords than
 either") is optional (``strict``): DESIGN.md explains why the permissive
 variant is required for completeness over Definition-3 answers.
 
-Structural sharing
-------------------
-
-Candidates are generated orders of magnitude more often than they are
-expanded, so everything the search reads per candidate — the signature,
-the sorted node/edge tuples of the deterministic heap key, and the
-per-directed-edge *transfer factors* of the upper bound — is cached on
-the candidate and derived **incrementally** from its parent(s) instead
-of recomputed:
-
-* sorted node tuple: one ``bisect`` insertion per grow, one linear
-  merge of two sorted tuples per merge (they share only the root);
-* sorted edge tuple: same, the new/unioned edges are disjoint;
-* transfer factors (``tau(a -> b) = share(a -> b) * d_b`` with the
-  root's split freed, see :mod:`repro.search.bounds`), stored as one
-  immutable ``(neighbor, factor)`` tuple per node: the expansion
-  invariant means a grow changes only the *old* root's factor list
-  (its split denominator gains the new edge) plus the one-entry list
-  of the new root, and a merge changes only the shared root's list
-  (the concatenation of both operands' — each already freed).  Every
-  other node's tuple is shared with the parent candidate, so the
-  bound's per-candidate ``O(|C|)`` weighted transfer rebuild becomes
-  a dict copy of shared references plus ``O(deg(root))`` updates.
-
-Transfer maintenance needs graph weights and dampening rates, which the
-candidate itself does not know; callers pass a :class:`TransferContext`
-to :meth:`CandidateTree.grow` (the branch-and-bound search does).
-Without one the cached factors are dropped and the bound estimator
-falls back to a full rebuild, so hand-built candidates in tests keep
-working unchanged.
+The search itself keeps candidates as rows of a flat arena
+(:mod:`repro.search.arena`).  :class:`CandidateTree` is the validating
+object form that the reference bound
+(:meth:`~repro.search.bounds.UpperBoundEstimator.upper_bound`) and the
+admissibility tests work on; :meth:`CandidateTree.from_arena` rebuilds
+one from an arena row.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from ..exceptions import SearchError
-from ..graph.datagraph import DataGraph
-from ..model.jtt import JoinedTupleTree, canonical_edge
+from ..model.jtt import JoinedTupleTree
 from ..text.matcher import MatchSets
-
-#: Hashable identity of a candidate: (root, tree).
-Signature = Tuple[int, JoinedTupleTree]
-
-#: Per-node transfer factor lists with the current root's split freed:
-#: ``node -> ((neighbor, tau(node -> neighbor)), ...)``.  Stored per node
-#: (rather than per directed edge) so grow/merge can share the untouched
-#: nodes' tuples with the parent candidate and the bound's delivery
-#: passes iterate factor lists without hashing edge tuples.
-TransferMap = Dict[int, Tuple[Tuple[int, float], ...]]
-
-
-class TransferContext:
-    """What incremental transfer maintenance needs from the query context.
-
-    Attributes:
-        graph: the data graph (raw directed edge weights).
-        rate: the dampening-rate function ``node -> d_node``.
-    """
-
-    __slots__ = ("graph", "rate")
-
-    def __init__(
-        self, graph: DataGraph, rate: Callable[[int], float]
-    ) -> None:
-        self.graph = graph
-        self.rate = rate
-
-
-def _merge_sorted(
-    a: Tuple[int, ...], b: Tuple[int, ...], drop_duplicates: bool = False
-) -> Tuple[int, ...]:
-    """Linear merge of two sorted tuples (optionally deduplicating)."""
-    out: List[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif b[j] < a[i]:
-            out.append(b[j])
-            j += 1
-        else:
-            out.append(a[i])
-            i += 1
-            if drop_duplicates:
-                j += 1
-            else:
-                out.append(b[j])
-                j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
 
 
 class CandidateTree:
-    """An immutable rooted candidate tree with cached search bookkeeping.
+    """An immutable rooted candidate tree.
 
     Attributes:
         tree: the underlying (rootless) tree.
@@ -123,19 +43,9 @@ class CandidateTree:
         depth: maximum root-to-node distance.
         diameter: the tree's diameter (maintained incrementally).
         covered: keywords covered by the tree's nodes.
-        transfer: incrementally maintained transfer factors (see the
-            module docstring), or None when the candidate was built
-            without a :class:`TransferContext`.
-        cached_ub: the latest admissible upper bound the search computed
-            for this candidate (cheap or tight) — the seed of its
-            children's inherited bounds under lazy evaluation.
     """
 
-    __slots__ = (
-        "tree", "root", "depth", "diameter", "covered",
-        "transfer", "cached_ub",
-        "_signature", "_sorted_nodes", "_sorted_edges", "_sources",
-    )
+    __slots__ = ("tree", "root", "depth", "diameter", "covered", "_sources")
 
     def __init__(
         self,
@@ -144,7 +54,6 @@ class CandidateTree:
         depth: int,
         diameter: int,
         covered: FrozenSet[str],
-        transfer: Optional[TransferMap] = None,
     ) -> None:
         if root not in tree.nodes:
             raise SearchError(f"root {root} not in candidate tree")
@@ -153,11 +62,6 @@ class CandidateTree:
         self.depth = depth
         self.diameter = diameter
         self.covered = covered
-        self.transfer = transfer
-        self.cached_ub: Optional[float] = None
-        self._signature: Optional[Signature] = None
-        self._sorted_nodes: Optional[Tuple[int, ...]] = None
-        self._sorted_edges: Optional[Tuple[Tuple[int, int], ...]] = None
         self._sources: Optional[Tuple[int, ...]] = None
 
     # -------------------------------------------------------- construction
@@ -170,25 +74,17 @@ class CandidateTree:
             raise SearchError(
                 f"initial candidates must be non-free nodes, got {node}"
             )
-        cand = cls(
-            JoinedTupleTree.single(node), node, 0, 0, keywords, {node: ()}
-        )
-        cand._sorted_nodes = (node,)
-        cand._sorted_edges = ()
-        cand._sources = (node,)
-        return cand
+        return cls(JoinedTupleTree.single(node), node, 0, 0, keywords)
 
     @classmethod
     def from_arena(cls, arena, cid: int, match: MatchSets) -> "CandidateTree":
         """Rebuild a validating candidate from one arena row.
 
-        The cross-check bridge between the engines: the node/edge
-        slices of :class:`~repro.search.arena.CandidateArena` row
-        ``cid`` run through the *validating* tree constructor, coverage
-        is recomputed from the match sets, and the transfer factors are
-        left unset so the bound estimator rebuilds them from scratch —
-        the arena's deferred factor lists and cover masks are exactly
-        what this constructor does **not** trust.
+        The node/edge slices of :class:`~repro.search.arena.CandidateArena`
+        row ``cid`` run through the *validating* tree constructor and
+        coverage is recomputed from the match sets — the arena's factor
+        lists and cover masks are exactly what this constructor does
+        **not** trust.
         """
         nodes = list(arena.nodes_of(cid))
         edges = [
@@ -203,62 +99,21 @@ class CandidateTree:
             match.covered_by(tree.nodes),
         )
 
-    def grow(
-        self,
-        new_root: int,
-        match: MatchSets,
-        ctx: Optional[TransferContext] = None,
-    ) -> "CandidateTree":
+    def grow(self, new_root: int, match: MatchSets) -> "CandidateTree":
         """Tree growing: ``new_root`` adopts this tree as its only child.
 
         The caller is responsible for checking graph adjacency between
-        ``new_root`` and the current root (the search does this against
-        the data graph); this method checks only tree-level validity.
-        With a ``ctx`` the child's transfer factors are derived from this
-        candidate's: only the old root's factor list changes (its split
-        denominator now includes the new edge) plus the new root's
-        one-entry list; every other node's list is shared.
+        ``new_root`` and the current root; this method checks only
+        tree-level validity.
         """
         if new_root in self.tree.nodes:
             raise SearchError(f"grow target {new_root} already in tree")
-        old_root = self.root
-        tree = self.tree.with_edge(old_root, new_root)
+        tree = self.tree.with_edge(self.root, new_root)
         depth = self.depth + 1
-        diameter = max(self.diameter, depth)
-        new_keywords = match.keywords_of.get(new_root, frozenset())
-        covered = self.covered | new_keywords
-        transfer: Optional[TransferMap] = None
-        if ctx is not None and self.transfer is not None:
-            rate = ctx.rate
-            out = ctx.graph.out_edges(old_root)
-            neighbors = sorted(tree.neighbors(old_root))
-            transfer = dict(self.transfer)
-            den = 0.0
-            for b in neighbors:
-                den += out.get(b, 0.0)
-            if den > 0.0:
-                transfer[old_root] = tuple(
-                    (b, out.get(b, 0.0) / den * rate(b)) for b in neighbors
-                )
-            else:
-                transfer[old_root] = tuple((b, 0.0) for b in neighbors)
-            transfer[new_root] = ((old_root, rate(old_root)),)
-        child = CandidateTree(tree, new_root, depth, diameter, covered,
-                              transfer)
-        nodes = list(self.sorted_nodes)
-        insort(nodes, new_root)
-        child._sorted_nodes = tuple(nodes)
-        edges = list(self.sorted_edges)
-        insort(edges, canonical_edge(old_root, new_root))
-        child._sorted_edges = tuple(edges)
-        if self._sources is not None:
-            if new_keywords:
-                sources = list(self._sources)
-                insort(sources, new_root)
-                child._sources = tuple(sources)
-            else:
-                child._sources = self._sources
-        return child
+        covered = self.covered | match.keywords_of.get(new_root, frozenset())
+        return CandidateTree(
+            tree, new_root, depth, max(self.diameter, depth), covered
+        )
 
     def merge(
         self,
@@ -270,10 +125,7 @@ class CandidateTree:
         Permitted when both candidates share the root, their node sets are
         otherwise disjoint (the paper's cycle "sanity check"), and — in
         strict mode — the union covers strictly more keywords than either
-        operand.  The merged transfer map is the union of the operands':
-        non-root nodes keep their frozen neighborhoods, and the shared
-        root's factor list is the concatenation of both operands' (each
-        already freed), so nothing needs recomputing.
+        operand.
         """
         if self.root != other.root:
             return None
@@ -282,72 +134,22 @@ class CandidateTree:
         covered = self.covered | other.covered
         if strict and (covered == self.covered or covered == other.covered):
             return None
-        tree = self.tree.union(other.tree)
-        depth = max(self.depth, other.depth)
         diameter = max(
             self.diameter, other.diameter, self.depth + other.depth
         )
-        transfer: Optional[TransferMap] = None
-        if self.transfer is not None and other.transfer is not None:
-            transfer = {**self.transfer, **other.transfer}
-            transfer[self.root] = (
-                self.transfer[self.root] + other.transfer[self.root]
-            )
-        merged = CandidateTree(tree, self.root, depth, diameter, covered,
-                               transfer)
-        merged._sorted_nodes = _merge_sorted(
-            self.sorted_nodes, other.sorted_nodes, drop_duplicates=True
+        return CandidateTree(
+            self.tree.union(other.tree), self.root,
+            max(self.depth, other.depth), diameter, covered,
         )
-        merged._sorted_edges = _merge_sorted(
-            self.sorted_edges, other.sorted_edges
-        )
-        if self._sources is not None and other._sources is not None:
-            # The operands overlap in the root alone; dedup handles it
-            # whether or not the root is itself a source.
-            merged._sources = _merge_sorted(
-                self._sources, other._sources, drop_duplicates=True
-            )
-        return merged
 
     # ------------------------------------------------------------ queries
 
-    @property
-    def sorted_nodes(self) -> Tuple[int, ...]:
-        """Ascending node ids, memoized (the heap-key tuple)."""
-        cached = self._sorted_nodes
-        if cached is None:
-            cached = tuple(sorted(self.tree.nodes))
-            self._sorted_nodes = cached
-        return cached
-
-    @property
-    def sorted_edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Ascending canonical edges, memoized (the heap-key tuple)."""
-        cached = self._sorted_edges
-        if cached is None:
-            cached = tuple(sorted(self.tree.edges))
-            self._sorted_edges = cached
-        return cached
-
     def sources(self, match: MatchSets) -> Tuple[int, ...]:
-        """Ascending non-free (keyword-covering) nodes, memoized.
-
-        Maintained incrementally by :meth:`initial`/:meth:`grow`/
-        :meth:`merge`; hand-built candidates compute it from the tree on
-        first access.  Equals ``tuple(tree.non_free_nodes(match))``.
-        """
+        """Ascending non-free (keyword-covering) nodes, memoized."""
         cached = self._sources
         if cached is None:
             cached = tuple(self.tree.non_free_nodes(match))
             self._sources = cached
-        return cached
-
-    def signature(self) -> Signature:
-        """Hashable identity (root + tree), memoized."""
-        cached = self._signature
-        if cached is None:
-            cached = (self.root, self.tree)
-            self._signature = cached
         return cached
 
     def is_complete(self, match: MatchSets) -> bool:

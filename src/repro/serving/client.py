@@ -73,7 +73,6 @@ class ServingClient:
         k: Optional[int] = None,
         diameter: Optional[int] = None,
         deadline_ms: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> Dict[str, Any]:
         """``POST /search``; returns the answer document."""
         payload: Dict[str, Any] = {"query": query}
@@ -83,8 +82,6 @@ class ServingClient:
             payload["diameter"] = diameter
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms
-        if engine is not None:
-            payload["engine"] = engine
         return self._request("POST", "/search", payload)
 
     def stats(self) -> Dict[str, Any]:

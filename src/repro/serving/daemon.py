@@ -43,7 +43,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Dict, Optional
 
-from ..config import ENGINES, ServingParams
+from ..config import ServingParams
 from ..exceptions import BadRequestError
 from ..model.answer import RankedAnswer
 from ..obs.clock import get_clock
@@ -184,8 +184,7 @@ class CIRankDaemon:
 
         Payload fields: ``query`` (required string), ``k``,
         ``diameter`` (ints), ``deadline_ms`` (number; overrides the
-        configured default; 0 forces no deadline), ``engine``
-        (``"arena"``/``"object"``).
+        configured default; 0 forces no deadline).
 
         Raises:
             BadRequestError: on an invalid payload (counted as
@@ -197,9 +196,7 @@ class CIRankDaemon:
         accepted_at = self.clock.now()
         try:
             try:
-                query, k, diameter, deadline_ms, engine = (
-                    self._validate(payload)
-                )
+                query, k, diameter, deadline_ms = self._validate(payload)
             except BadRequestError as exc:
                 if span is not None:
                     span.set_attribute("rejected", str(exc))
@@ -221,7 +218,6 @@ class CIRankDaemon:
                     "k": k,
                     "diameter": diameter,
                     "deadline_ms": deadline_ms,
-                    "engine": engine,
                 })
             self.stats.inc("received")
 
@@ -244,7 +240,7 @@ class CIRankDaemon:
                             self.system, query, k=k, diameter=diameter,
                             deadline_ms=deadline_ms,
                             heartbeat=self.params.heartbeat,
-                            engine=engine, span=exec_span,
+                            span=exec_span,
                             clock=self.clock,
                         )
                     finally:
@@ -265,9 +261,7 @@ class CIRankDaemon:
                 # never inherits (or donates) a different budget's
                 # flight.
                 key = (
-                    self.system.answer_key(
-                        query, k=k, diameter=diameter, engine=engine
-                    ),
+                    self.system.answer_key(query, k=k, diameter=diameter),
                     deadline_ms,
                 )
                 outcome, coalesced = await self.flights.run(key, fly)
@@ -295,7 +289,7 @@ class CIRankDaemon:
             if self.capture is not None:
                 self._capture(
                     arrival_wall, query, k, diameter, deadline_ms,
-                    engine, outcome, coalesced, latency_ms, trace_id,
+                    outcome, coalesced, latency_ms, trace_id,
                 )
             return self._response(query, outcome, coalesced, trace_id)
         finally:
@@ -311,7 +305,6 @@ class CIRankDaemon:
         if self.params.plan:
             payload["plan"] = {
                 "path": self.params.plan,
-                "engine": self.system.search_params.engine,
                 "diameter": self.system.search_params.diameter,
                 "answer_cache_size": (
                     self.system.answer_cache.stats().maxsize
@@ -438,7 +431,7 @@ class CIRankDaemon:
         )
         self._arena_hist = reg.histogram(
             "cirank_arena_peak_bytes",
-            "Arena storage high-water mark per execution (arena engine).",
+            "Arena storage high-water mark per execution.",
             buckets=_ARENA_BUCKETS,
         )
         self._phase_seconds = reg.counter(
@@ -485,7 +478,6 @@ class CIRankDaemon:
         k: Optional[int],
         diameter: Optional[int],
         deadline_ms: float,
-        engine: Optional[str],
         outcome: DeadlineOutcome,
         coalesced: bool,
         latency_ms: float,
@@ -505,10 +497,7 @@ class CIRankDaemon:
             k=k if k is not None else self.system.search_params.k,
             diameter=diameter,
             deadline_ms=deadline_ms,
-            engine=engine,
-            fingerprint=self._params_fingerprint(
-                k, diameter, deadline_ms, engine
-            ),
+            fingerprint=self._params_fingerprint(k, diameter, deadline_ms),
             origin=origin,
             latency_ms=latency_ms,
             gap=outcome.gap,
@@ -523,14 +512,12 @@ class CIRankDaemon:
         k: Optional[int],
         diameter: Optional[int],
         deadline_ms: float,
-        engine: Optional[str],
     ) -> str:
         """Stable request-parameter identity for workload aggregation."""
         return (
             f"k={k if k is not None else self.system.search_params.k}"
             f",d={diameter if diameter is not None else ''}"
             f",dl={deadline_ms:g}"
-            f",e={engine or ''}"
         )
 
     # ------------------------------------------------------------ internal
@@ -564,16 +551,9 @@ class CIRankDaemon:
         )
         if deadline_ms is None:
             deadline_ms = self.params.deadline_ms
-        engine = payload.get("engine")
-        _require(
-            engine is None or engine in ENGINES,
-            f"'engine' must be one of {ENGINES}",
-        )
-        unknown = set(payload) - {
-            "query", "k", "diameter", "deadline_ms", "engine",
-        }
+        unknown = set(payload) - {"query", "k", "diameter", "deadline_ms"}
         _require(not unknown, f"unknown fields: {sorted(unknown)}")
-        return query, k, diameter, float(deadline_ms), engine
+        return query, k, diameter, float(deadline_ms)
 
     def _response(
         self,

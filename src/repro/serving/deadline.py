@@ -89,7 +89,6 @@ def run_with_deadline(
     diameter: Optional[int] = None,
     deadline_ms: float = 0.0,
     heartbeat: int = DEFAULT_HEARTBEAT,
-    engine: Optional[str] = None,
     span: Optional[Span] = None,
     clock: Optional[Clock] = None,
 ) -> DeadlineOutcome:
@@ -107,7 +106,7 @@ def run_with_deadline(
     clk = clock if clock is not None else get_clock()
     start = clk.now()
     generator = system.search_anytime(
-        query_text, k=k, diameter=diameter, engine=engine,
+        query_text, k=k, diameter=diameter,
         heartbeat=heartbeat if budget is not None else 0,
         observer=observer, span=span,
     )

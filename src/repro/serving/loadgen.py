@@ -159,7 +159,6 @@ def run_load(
     concurrency: int = 8,
     k: Optional[int] = None,
     deadline_ms: Optional[float] = None,
-    engine: Optional[str] = None,
     timeout: float = 120.0,
 ) -> LoadgenReport:
     """Fire ``mix`` at the server from ``concurrency`` client threads.
@@ -190,7 +189,7 @@ def run_load(
                 t0 = clock.now()
                 try:
                     response = client.search(
-                        query, k=k, deadline_ms=deadline_ms, engine=engine
+                        query, k=k, deadline_ms=deadline_ms
                     )
                 except Exception as exc:
                     record = {"error": type(exc).__name__}

@@ -185,7 +185,7 @@ def answer_cache_key(
             two raw strings that normalize identically share an entry.
         params: the resolved :class:`~repro.config.SearchParams`
             (hashable frozen dataclass; includes k, diameter, merge
-            mode, semantics, and the lazy/eager switch).
+            mode, the candidate cap and semantics).
         index_fingerprint: a structural identifier of the attached graph
             index (or None when searching unindexed) — results proven
             with different pruning indexes are kept apart even though

@@ -293,10 +293,10 @@ class CIRankSystem:
         Accepts a :class:`~repro.planner.cost.PlanCandidate`, a
         :class:`~repro.planner.plan.PlanReport` (its chosen candidate is
         applied), or a plain dict in either shape (a serialized report
-        is recognized by its ``chosen_config`` key).  Applies the search
-        knobs (engine, diameter cap), resizes the answer
-        cache when the capacity changed, and attaches or detaches the
-        graph index to match the plan.  Returns ``self`` for chaining.
+        is recognized by its ``chosen_config`` key).  Applies the
+        diameter cap, resizes the answer cache when the capacity
+        changed, and attaches or detaches the graph index to match the
+        plan.  Returns ``self`` for chaining.
 
         Serving-side knobs (workers, batching) live on
         :class:`~repro.config.ServingParams`; the daemon applies those
@@ -313,6 +313,14 @@ class CIRankSystem:
             candidate = plan
         elif isinstance(plan, dict):
             payload = plan.get("chosen_config", plan)
+            # Plans written while the engine was a knob name one; the
+            # two that existed ran the same search, so the name is
+            # ignored.  Any other engine was never runnable here.
+            if payload.get("engine") not in (None, "arena", "object"):
+                raise ReproError(
+                    f"plan chooses engine {payload['engine']!r}, "
+                    "which this build does not have"
+                )
             candidate = PlanCandidate.from_dict(payload)
         else:
             raise ReproError(
@@ -349,20 +357,20 @@ class CIRankSystem:
         k: Optional[int] = None,
         diameter: Optional[int] = None,
         algorithm: str = "branch-and-bound",
-        engine: Optional[str] = None,
     ) -> List[RankedAnswer]:
         """Top-k keyword search.
+
+        Branch-and-bound drains :meth:`search_anytime` and returns its
+        final snapshot's answers, so both entry points share matching,
+        the answer cache and its proven-only store.  An unmatchable
+        query returns ``[]`` and leaves an all-zero
+        :attr:`last_search_stats`.
 
         Args:
             query_text: whitespace-separated keywords (AND semantics).
             k: number of answers (defaults to the configured k).
             diameter: answer diameter cap (defaults to configured D).
             algorithm: ``"branch-and-bound"`` (default) or ``"naive"``.
-            engine: lazy-loop candidate representation — ``"arena"``
-                (flat columnar arena) or ``"object"`` (per-candidate
-                trees); defaults to the configured engine.  Both return
-                identical top-k up to tie classes; the flag exists so a
-                regression is one CLI switch away from bisection.
 
         Returns:
             Ranked answers, best first (possibly fewer than k).
@@ -371,61 +379,26 @@ class CIRankSystem:
             raise ReproError(f"unknown algorithm {algorithm!r}")
         self.last_search_stats = None
         self.last_cache_stats = None
-        # The versions a stored result is proven against, captured
-        # before any input is read: a graph mutation or feedback re-rank
-        # landing mid-search leaves a stale entry, never one labeled
-        # fresh under the new ranking.
-        version = self.graph.version
-        epoch = self._ranking_epoch
+        if algorithm == "naive":
+            return self._search_naive(query_text, k, diameter)
+        snapshot = None
+        for snapshot in self.search_anytime(query_text, k, diameter):
+            pass
+        return snapshot.answers
+
+    def _search_naive(
+        self,
+        query_text: str,
+        k: Optional[int],
+        diameter: Optional[int],
+    ) -> List[RankedAnswer]:
+        """The naive strawman: no answer cache, no search stats."""
         match = self._match_for(query_text)
-        if self.search_params.semantics == "or":
-            # OR needs only one matchable keyword
-            if not any(match.per_keyword.values()):
-                return []
-        elif not match.matchable:
+        if not self._matchable(match):
             return []
-        params = self._resolve_params(k, diameter, engine)
-        cache_key = None
-        lookup_seconds = 0.0
-        if algorithm == "branch-and-bound" and self._answer_cache.enabled:
-            # Cross-query answer cache: key on the *analyzed* keywords
-            # (two raw strings normalizing identically share an entry),
-            # the resolved params, and the index provenance; the stored
-            # (graph version, ranking epoch) guard is checked inside
-            # lookup, which counts stale entries as invalidations.
-            from .storage.answer_cache import answer_cache_key
-            start = time.perf_counter()
-            cache_key = answer_cache_key(
-                tuple(match.keywords), params, self._index_fingerprint()
-            )
-            cached = self._answer_cache.lookup(
-                cache_key, self.graph.version, self._ranking_epoch
-            )
-            lookup_seconds = time.perf_counter() - start
-            if cached is not None:
-                stats = SearchStats()
-                stats.served_from_cache = True
-                stats.cache_lookup_seconds = lookup_seconds
-                stats.answers_found = len(cached)
-                self.last_search_stats = stats
-                self._publish_cache_stats()
-                return cached
         scorer = self.scorer_for(match)
-        if algorithm == "branch-and-bound":
-            search = BranchAndBoundSearch(
-                self.graph, scorer, match, params, index=self.graph_index
-            )
-        else:
-            search = NaiveSearch(self.graph, scorer, match, params)
-        answers = search.run()
-        self.last_search_stats = getattr(search, "stats", None)
-        if self.last_search_stats is not None:
-            self.last_search_stats.cache_lookup_seconds += lookup_seconds
-        if cache_key is not None and getattr(search, "last_proven", False):
-            # Only proven-optimal results are reusable; anytime aborts
-            # (max_candidates) carry no certificate.  Proven *empty*
-            # results are cached too.
-            self._answer_cache.store(cache_key, version, epoch, answers)
+        params = self._resolve_params(k, diameter)
+        answers = NaiveSearch(self.graph, scorer, match, params).run()
         self._publish_cache_stats(scorer)
         return answers
 
@@ -434,7 +407,6 @@ class CIRankSystem:
         query_text: str,
         k: Optional[int] = None,
         diameter: Optional[int] = None,
-        engine: Optional[str] = None,
         heartbeat: int = 0,
         observer: Optional[object] = None,
         span: Optional[object] = None,
@@ -445,18 +417,15 @@ class CIRankSystem:
         drives this instead of :meth:`search`: each yielded snapshot
         carries the best answers so far plus the frontier bound, so a
         consumer can stop at any wall-clock deadline and report the
-        snapshot's ``gap`` as the SLA field.  Fully consuming the
-        generator is equivalent to :meth:`search` (branch-and-bound
-        algorithm): the final snapshot holds the same answers, proven
-        results enter the cross-query answer cache, and cache hits and
-        unmatchable queries yield a single already-proven snapshot.
+        snapshot's ``gap`` as the SLA field.  :meth:`search` is this
+        generator fully consumed: proven results enter the cross-query
+        answer cache, and cache hits and unmatchable queries yield a
+        single already-proven snapshot.
 
         Args:
             query_text: whitespace-separated keywords.
             k: number of answers (defaults to the configured k).
             diameter: answer diameter cap (defaults to configured D).
-            engine: ``"arena"`` or ``"object"`` (defaults to
-                configured).
             heartbeat: yield a snapshot every ``heartbeat`` queue pops
                 even without top-k improvement (0 = improvements only);
                 deadline consumers use this to bound overshoot.
@@ -472,19 +441,17 @@ class CIRankSystem:
                 attributes when the generator closes.
         """
         search_span = span.child("search") if span is not None else None
-        # Captured before any input is read, as in search().
+        # The versions a stored result is proven against, captured
+        # before any input is read: a graph mutation or feedback re-rank
+        # landing mid-search leaves a stale entry, never one labeled
+        # fresh under the new ranking.
         version = self.graph.version
         epoch = self._ranking_epoch
-        params = self._resolve_params(k, diameter, engine)
+        params = self._resolve_params(k, diameter)
         match = self._match_for(query_text)
-        if params.semantics == "or":
-            matchable = any(match.per_keyword.values())
-        else:
-            matchable = match.matchable
-        if not matchable:
+        if not self._matchable(match):
             # Provably no answer exists: a single, already-final
-            # snapshot (mirrors search() returning [] without probing
-            # or populating the answer cache).
+            # snapshot, without probing or populating the answer cache.
             stats = SearchStats()
             if observer is not None:
                 observer.stats = stats
@@ -499,6 +466,11 @@ class CIRankSystem:
         cache_key = None
         lookup_seconds = 0.0
         if self._answer_cache.enabled:
+            # Cross-query answer cache: key on the *analyzed* keywords
+            # (two raw strings normalizing identically share an entry),
+            # the resolved params, and the index provenance; the stored
+            # (graph version, ranking epoch) guard is checked inside
+            # lookup, which counts stale entries as invalidations.
             from .storage.answer_cache import answer_cache_key
             start = time.perf_counter()
             cache_key = answer_cache_key(
@@ -536,6 +508,9 @@ class CIRankSystem:
                     and search.last_proven
                     and cache_key is not None
                 ):
+                    # Only proven-optimal results are reusable; anytime
+                    # aborts (max_candidates) carry no certificate.
+                    # Proven *empty* results are cached too.
                     self._answer_cache.store(
                         cache_key, version, epoch, list(snapshot.answers)
                     )
@@ -553,7 +528,6 @@ class CIRankSystem:
         query_text: str,
         k: Optional[int] = None,
         diameter: Optional[int] = None,
-        engine: Optional[str] = None,
     ):
         """The canonical answer-cache key for one search invocation.
 
@@ -564,7 +538,7 @@ class CIRankSystem:
         """
         from .storage.answer_cache import answer_cache_key
         match = self._match_for(query_text)
-        params = self._resolve_params(k, diameter, engine)
+        params = self._resolve_params(k, diameter)
         return answer_cache_key(
             tuple(match.keywords), params, self._index_fingerprint()
         )
@@ -573,7 +547,6 @@ class CIRankSystem:
         self,
         k: Optional[int],
         diameter: Optional[int],
-        engine: Optional[str],
     ) -> SearchParams:
         """The configured SearchParams with per-call overrides applied.
 
@@ -585,9 +558,14 @@ class CIRankSystem:
             overrides["k"] = k
         if diameter is not None:
             overrides["diameter"] = diameter
-        if engine is not None:
-            overrides["engine"] = engine
         return dataclasses.replace(self.search_params, **overrides)
+
+    def _matchable(self, match: MatchSets) -> bool:
+        """Whether any answer can exist: under AND every keyword must
+        match a node, under OR one."""
+        if self.search_params.semantics == "or":
+            return any(match.per_keyword.values())
+        return match.matchable
 
     def _index_fingerprint(self):
         """Structural identity of the attached graph index (or None)."""

@@ -85,7 +85,6 @@ def case_to_dict(case: GeneratedCase) -> Dict:
             "strict_merge": case.params.strict_merge,
             "max_candidates": case.params.max_candidates,
             "semantics": case.params.semantics,
-            "engine": case.params.engine,
         },
         "weights": {
             "default": case.weights.default,
@@ -149,6 +148,8 @@ def case_from_dict(data: Dict) -> GeneratedCase:
         },
         default=weights_spec.get("default", 1.0),
     )
+    # Cases saved while the search had engine/lazy_bounds switches may
+    # name them; the one search left ignores both keys.
     p = data["params"]
     params = SearchParams(
         k=p["k"],
@@ -156,7 +157,6 @@ def case_from_dict(data: Dict) -> GeneratedCase:
         strict_merge=p.get("strict_merge", True),
         max_candidates=p.get("max_candidates", 0),
         semantics=p.get("semantics", "and"),
-        engine=p.get("engine", "arena"),
     )
     return GeneratedCase(
         seed=data.get("seed", -1),

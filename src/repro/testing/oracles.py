@@ -491,41 +491,6 @@ def differential_check(
     _check_exact_topk("branch-and-bound", label, bnb, oracle_topk, scores)
     report.engines.append("branch-and-bound")
 
-    # Both lazy candidate representations must be interchangeable with
-    # each other and the oracle: the flat arena (the system default —
-    # usually already exercised by the leg above) and the per-object
-    # reference path.  Exact top-k tie-class agreement, like every
-    # complete leg.
-    if (
-        system.last_search_stats is not None
-        and system.last_search_stats.engine == "arena"
-    ):
-        report.engines.append("arena-engine")
-    else:
-        search = BranchAndBoundSearch(
-            graph, scorer, match,
-            dataclasses.replace(complete, lazy_bounds=True, engine="arena"),
-        )
-        _check_exact_topk(
-            "arena-engine", label, search.run(), oracle_topk, scores
-        )
-        report.engines.append("arena-engine")
-    search = BranchAndBoundSearch(
-        graph, scorer, match,
-        dataclasses.replace(complete, lazy_bounds=True, engine="object"),
-    )
-    _check_exact_topk(
-        "object-engine", label, search.run(), oracle_topk, scores
-    )
-    report.engines.append("object-engine")
-
-    # Lazy bound tightening (the default) and eager per-candidate bounds
-    # must be interchangeable: both are admissible, so both are exact.
-    eager = dataclasses.replace(complete, lazy_bounds=False)
-    search = BranchAndBoundSearch(graph, scorer, match, eager)
-    _check_exact_topk("eager-bounds", label, search.run(), oracle_topk, scores)
-    report.engines.append("eager-bounds")
-
     # A repeated identical query must come back from the answer cache
     # (same object sequence — the cache stores the proven result) and
     # still satisfy the exactness contract.

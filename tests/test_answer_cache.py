@@ -184,14 +184,17 @@ class TestSystemIntegration:
         query = _some_query(system)
         feedback = FeedbackModel(system.graph)
         feedback.record_click(0, weight=10.0)
-        original = BranchAndBoundSearch.run
+        original = BranchAndBoundSearch.snapshots
 
-        def run_then_rerank(search):
-            answers = original(search)
-            system.apply_feedback(feedback)
-            return answers
+        def rerank_before_the_proof(search, heartbeat=0):
+            for snapshot in original(search, heartbeat):
+                if snapshot.proven_optimal:
+                    system.apply_feedback(feedback)
+                yield snapshot
 
-        monkeypatch.setattr(BranchAndBoundSearch, "run", run_then_rerank)
+        monkeypatch.setattr(
+            BranchAndBoundSearch, "snapshots", rerank_before_the_proof
+        )
         system.search(query)
         monkeypatch.undo()
         system.search(query)

@@ -22,12 +22,17 @@ class TestParser:
 
     @pytest.mark.parametrize("command", ["search", "client"])
     def test_sharded_engine_is_rejected(self, command, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args([
-                command, "--query", "x", "--engine", "sharded",
-            ])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'sharded'" in capsys.readouterr().err
+        """``--engine`` is gone: every engine name is an argparse error."""
+        for engine in ("sharded", "arena", "object"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args([
+                    command, "--query", "x", "--engine", engine,
+                ])
+            assert excinfo.value.code == 2
+            assert (
+                "unrecognized arguments: --engine"
+                in capsys.readouterr().err
+            )
 
     def test_search_has_no_shards_flag(self):
         with pytest.raises(SystemExit):
@@ -66,10 +71,10 @@ class TestServingParsers:
     def test_client_search_flags(self):
         args = build_parser().parse_args([
             "client", "--query", "x", "--k", "3",
-            "--deadline-ms", "25", "--engine", "object", "--json",
+            "--deadline-ms", "25", "--json",
         ])
         assert args.query == "x" and args.k == 3
-        assert args.deadline_ms == 25.0 and args.engine == "object"
+        assert args.deadline_ms == 25.0
         assert args.json and not args.stats
 
 

@@ -57,10 +57,17 @@ class TestSearchParams:
         with pytest.raises(ReproError):
             SearchParams(max_candidates=-5)
 
-    @pytest.mark.parametrize("engine", ["warp", "sharded"])
+    @pytest.mark.parametrize("engine", ["warp", "sharded", "arena", "object"])
     def test_unknown_engine_rejected(self, engine):
-        with pytest.raises(ReproError, match="engine"):
+        """One engine is left, so there is no field to choose it."""
+        with pytest.raises(TypeError, match="engine"):
             SearchParams(engine=engine)
+
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_lazy_bounds_switch_rejected(self, lazy):
+        """One bound evaluation (lazy) is left."""
+        with pytest.raises(TypeError, match="lazy_bounds"):
+            SearchParams(lazy_bounds=lazy)
 
 
 class TestEdgeWeights:

@@ -10,6 +10,7 @@ Hypothesis' example database or random state.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,19 @@ def test_serialization_round_trip():
         b = check_case(rebuilt)
         assert [x.score for x in a.topk] == [x.score for x in b.topk]
         assert a.answers_enumerated == b.answers_enumerated
+
+
+def test_case_naming_removed_switches_still_loads(tmp_path):
+    """Cases saved while the search had ``engine``/``lazy_bounds``
+    switches load; the keys are ignored."""
+    case = random_case(3)
+    data = case_to_dict(case)
+    data["params"].update(engine="object", lazy_bounds=False)
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(data))
+    loaded = load_case(path)
+    assert loaded.params == case.params
+    check_case(loaded)
 
 
 def test_save_counterexample_is_idempotent(tmp_path):

@@ -280,9 +280,7 @@ class TestDaemonExposition:
             )
             await daemon.start()
             try:
-                await daemon.handle_search(
-                    {"query": query, "engine": "arena"}
-                )
+                await daemon.handle_search({"query": query})
                 return daemon.metrics_text()
             finally:
                 await daemon.stop()

@@ -231,6 +231,37 @@ class TestCaptureReplayParity:
         checked = verify_parity(tiny_dblp_system, report)
         assert checked == 4, "every proven replayed answer is compared"
 
+    def test_capture_naming_an_engine_still_replays(
+        self, tiny_dblp_system, tmp_path
+    ):
+        """Logs written while requests could pick an engine carry an
+        ``engine`` key and an ``e=`` fingerprint part; they load,
+        aggregate and replay without sending the key."""
+        tiny_dblp_system.answer_cache.clear()
+        legacy = tmp_path / "legacy.jsonl"
+        queries = _pick_queries(tiny_dblp_system, 2)
+        with legacy.open("w") as handle:
+            for i, query in enumerate(queries + queries[:1]):
+                handle.write(json.dumps({
+                    "ts": 100.0 + i, "query": query, "k": 3,
+                    "diameter": None, "deadline_ms": 0.0,
+                    "engine": "object",
+                    "fingerprint": "k=3,d=,dl=0,e=object",
+                    "origin": "search",
+                }) + "\n")
+        records = read_query_log(str(legacy))
+        workload = Workload.from_records(records)
+        assert workload.total_arrivals == 3 and len(workload.entries) == 2
+        assert all("engine" not in e.request() for e in workload.entries)
+        params = ServingParams(port=0)
+        with InProcessServer(tiny_dblp_system, params) as server:
+            report = replay(
+                server.host, server.port, records, rate=100.0,
+                concurrency=2, honor_deadlines=False,
+            )
+        assert report.errors == 0
+        assert verify_parity(tiny_dblp_system, report) == 3
+
     def test_replay_gates_flag_violations(
         self, tiny_dblp_system, tmp_path
     ):

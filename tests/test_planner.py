@@ -82,7 +82,6 @@ class TestAnalyzer:
         # multi-keyword fraction.
         assert features.free_connector_ratio == pytest.approx(0.5)
         assert features.observed_diameter is None
-        assert features.engines == {"default": 6}
 
     def test_features_with_system(self, plan_system):
         workload = Workload.from_records(_records(QUERIES, passes=2))
@@ -93,13 +92,15 @@ class TestAnalyzer:
         assert features.observed_diameter <= 3
 
     def test_deadline_and_engine_mix(self):
+        # Captures written while requests could pick an engine carry
+        # one; the analyzer ignores it.
         records = _records(
             ["a"], passes=4, deadline_ms=50.0, engine="arena",
         )
         features = analyze_workload(Workload.from_records(records))
         assert features.deadline_fraction == 1.0
         assert features.deadline_p50_ms == pytest.approx(50.0)
-        assert features.engines == {"arena": 4}
+        assert "engines" not in features.as_dict()
 
     def test_render_mentions_key_features(self):
         features = WorkloadFeatures(total_arrivals=10, unique_queries=3)
@@ -146,11 +147,6 @@ class TestCandidateGeneration:
         features = _features(duplicate_fraction=0.8, unique_queries=50)
         names = {c.name for c in generate_candidates(features, REF)}
         assert not any(n.startswith("cache-") for n in names)
-
-    def test_cold_mix_keeps_the_engine(self):
-        features = _features(duplicate_fraction=0.2)
-        pool = generate_candidates(features, REF)
-        assert all(c.engine == REF.engine for c in pool)
 
     def test_diameter_lever_fires_when_observed_below_configured(self):
         features = _features(observed_diameter=2)
@@ -208,7 +204,6 @@ class TestReferenceCandidate:
         reference = reference_candidate(
             plan_system, ServingParams(workers=2),
         )
-        assert reference.engine == plan_system.search_params.engine
         assert reference.diameter == plan_system.search_params.diameter
         assert reference.index_kind is None
         assert (
@@ -219,10 +214,12 @@ class TestReferenceCandidate:
 
     def test_round_trips_through_dict(self):
         candidate = PlanCandidate(
-            name="x", engine="object", diameter=3,
-            index_kind="star", notes=("why",),
+            name="x", diameter=3, index_kind="star", notes=("why",),
         )
         assert PlanCandidate.from_dict(candidate.as_dict()) == candidate
+        # Plans written while the engine was a knob name one.
+        legacy = dict(candidate.as_dict(), engine="object")
+        assert PlanCandidate.from_dict(legacy) == candidate
 
     def test_from_dict_ignores_unknown_fields(self):
         payload = PlanCandidate(name="x").as_dict()
@@ -300,7 +297,11 @@ class TestPlanCapture:
         )
         doc = json.loads(report.to_json())
         assert doc["chosen_config"]["name"] == report.chosen
-        doc["features"]["graph_nodes"] = 548  # as older reports carry
+        # as older reports carry
+        doc["features"]["graph_nodes"] = 548
+        doc["features"]["engines"] = {"default": len(QUERIES)}
+        for config in [doc["chosen_config"], doc["reference"]["candidate"]]:
+            config["engine"] = "arena"
         restored = PlanReport.from_dict(doc)
         assert restored.chosen == report.chosen
         assert restored.validated == report.validated
@@ -374,3 +375,13 @@ class TestApplyPlan:
         with pytest.raises(ReproError, match="engine"):
             fresh_system.apply_plan(payload)
         assert fresh_system.search_params == before
+
+    @pytest.mark.parametrize("engine", ["arena", "object"])
+    def test_applies_a_report_naming_a_former_engine(
+        self, fresh_system, engine
+    ):
+        payload = {"chosen_config": {
+            "name": "old", "engine": engine, "answer_cache_size": 128,
+        }}
+        fresh_system.apply_plan(payload)
+        assert fresh_system.answer_cache.stats().maxsize == 128

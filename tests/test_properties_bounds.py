@@ -110,8 +110,13 @@ def test_diameter_cap_boundary(diameter):
     pairs = PairsIndex(g, dampening, horizon=diameter + 2)
     estimator = UpperBoundEstimator(g, scorer, pairs)
     cand = CandidateTree.initial(0, match)
-    assert estimator.completion_impossible(cand, max_diameter=diameter - 1)
-    assert not estimator.completion_impossible(cand, max_diameter=diameter)
+    missing = [k for k in match.keywords if k not in cand.covered]
+    assert estimator.completion_impossible(
+        cand.root, cand.depth, [0], missing, max_diameter=diameter - 1
+    )
+    assert not estimator.completion_impossible(
+        cand.root, cand.depth, [0], missing, max_diameter=diameter
+    )
 
 
 # ------------------------------- zero-importance dangling nodes (c.3)

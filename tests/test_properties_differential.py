@@ -109,12 +109,17 @@ class TestMutationsAreCaught:
     SWEEP = 80
 
     def test_broken_upper_bound_is_caught(self, monkeypatch):
-        """An inadmissible (too small) bound prunes real answers."""
-        real = UpperBoundEstimator.upper_bound
+        """An inadmissible (too small) full bound prunes real answers.
+
+        ``arena_bound`` is the full ``ce/pe`` bound the search computes
+        for the initial candidates and at head tightening.
+        """
+        real = UpperBoundEstimator.arena_bound
         monkeypatch.setattr(
             UpperBoundEstimator,
-            "upper_bound",
-            lambda self, cand: 0.25 * real(self, cand),
+            "arena_bound",
+            lambda self, arena, cid, missing:
+                0.25 * real(self, arena, cid, missing),
         )
         with pytest.raises(DifferentialFailure):
             for seed in range(self.SWEEP):

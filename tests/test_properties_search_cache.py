@@ -1,218 +1,24 @@
-"""Property-based tests for the search-phase overhaul.
+"""Mutation tests for the lazy search's admit-time cheap bound.
 
-Three layers of the overhaul get their own falsifiable contracts here,
-on top of the oracle legs already wired into
-:func:`repro.testing.differential_check` (which now also runs an
-eager-bounds search and a warm answer-cache lookup on every case):
-
-* **lazy vs eager equivalence** — the lazily tightened search and the
-  eager per-candidate bound path return the same top-k up to exact
-  score-tie classes, on any seed;
-* **structural sharing** — the incrementally maintained per-candidate
-  state (transfer factor lists, sorted node/edge tuples, source lists)
-  is *exactly* equal to a from-scratch recomputation, for every
-  candidate an actual search evaluates;
-* **bound parity** — the fast factor-list bound equals the reference
-  dict-based implementation bitwise (same operation order by design);
-* **mutation sensitivity** — an inadmissible (deflated) cheap bound is
-  caught by the differential oracle within a bounded seed sweep, while
-  an inflated (loose but admissible) one stays sound.  This is what
-  makes the lazy-bound machinery falsifiable: soundness must come from
-  admissibility, never from the cheap bound's tightness.
+The lazily tightened search admits children on a cheap inherited bound
+and computes the full ``ce/pe`` bound only at the heap head.  Soundness
+must come from the cheap bound's admissibility, never from its
+tightness: an inadmissible (deflated) cheap bound is caught by the
+differential oracle (:func:`repro.testing.differential_check`) within a
+bounded seed sweep, while an inflated (loose but admissible) one stays
+sound.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Tuple
-
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from repro import CIRankSystem
 from repro.search.branch_and_bound import BranchAndBoundSearch
-from repro.search.candidate import CandidateTree
 from repro.testing import DifferentialFailure, check_case, random_case
 
 #: Seeds to try before concluding a mutation went unnoticed (mirrors
 #: ``TestMutationsAreCaught`` in test_properties_differential.py).
 SWEEP = 80
-
-#: Per-search cap on candidates re-checked against the reference
-#: implementations (the heavy ones are O(|C|^2) per candidate).
-RECHECK_CAP = 150
-
-
-def _searches_for_seed(seed: int):
-    """Build (lazy search, eager search) for one generated case.
-
-    Returns None when the case is trivial (unanalyzable or unmatchable
-    query) — there is nothing to compare.
-    """
-    case = random_case(seed)
-    # These tests instrument object-path internals (``_tight_bound``
-    # receives CandidateTree arguments), so pin the object engine; the
-    # arena engine has its own parity suite in test_search_arena.py.
-    params = dataclasses.replace(
-        case.params, strict_merge=False, engine="object"
-    )
-    system = CIRankSystem.from_database(
-        case.db, weights=case.weights, search_params=params
-    )
-    try:
-        match = system.matcher.match(case.query)
-    except Exception:
-        return None
-    if params.semantics == "or":
-        if not any(match.per_keyword.values()):
-            return None
-    elif not match.matchable:
-        return None
-    scorer = system.scorer_for(match)
-    lazy = BranchAndBoundSearch(system.graph, scorer, match, params)
-    eager = BranchAndBoundSearch(
-        system.graph, scorer, match,
-        dataclasses.replace(params, lazy_bounds=False),
-    )
-    return lazy, eager
-
-
-def _tie_classes(
-    answers,
-) -> List[Tuple[float, frozenset]]:
-    """Collapse a ranked list into (score, {node-tuples}) tie classes."""
-    classes: List[Tuple[float, set]] = []
-    for answer in answers:
-        key = (tuple(sorted(answer.tree.nodes)), tuple(sorted(answer.tree.edges)))
-        if classes and classes[-1][0] == answer.score:
-            classes[-1][1].add(key)
-        else:
-            classes.append((answer.score, {key}))
-    return [(score, frozenset(trees)) for score, trees in classes]
-
-
-def _record_tightened(search: BranchAndBoundSearch) -> List[CandidateTree]:
-    """Instrument a search to record every candidate it tight-bounds."""
-    recorded: List[CandidateTree] = []
-    original = search._tight_bound
-
-    def wrapped(cand: CandidateTree) -> float:
-        recorded.append(cand)
-        return original(cand)
-
-    search._tight_bound = wrapped  # instance attribute shadows the method
-    return recorded
-
-
-# ------------------------------------------------- lazy/eager equivalence
-
-
-@given(seed=st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
-def test_lazy_and_eager_topk_agree(seed):
-    """Both evaluation modes return the same tie classes on any seed.
-
-    Scores come from the same scorer in both runs, so the per-class
-    score comparison is exact — no tolerance needed.
-    """
-    pair = _searches_for_seed(seed)
-    if pair is None:
-        return
-    lazy, eager = pair
-    lazy_classes = _tie_classes(lazy.run())
-    eager_classes = _tie_classes(eager.run())
-    assert lazy_classes == eager_classes, (
-        f"lazy and eager top-k diverge (seed={seed})"
-    )
-    assert lazy.last_proven and eager.last_proven
-
-
-def test_lazy_and_eager_agree_on_sweep():
-    """Deterministic low-seed sweep of the same equivalence."""
-    compared = 0
-    for seed in range(40):
-        pair = _searches_for_seed(seed)
-        if pair is None:
-            continue
-        lazy, eager = pair
-        assert _tie_classes(lazy.run()) == _tie_classes(eager.run()), (
-            f"lazy and eager top-k diverge (seed={seed})"
-        )
-        compared += 1
-    assert compared >= 20, "generator drifted toward trivial cases"
-
-
-# ------------------------------------------------- incremental invariants
-
-
-@given(seed=st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
-def test_incremental_state_matches_recomputation(seed):
-    """Every searched candidate's cached state equals a fresh rebuild.
-
-    Covers the structurally shared transfer factor lists (against
-    ``UpperBoundEstimator._tree_transfer``, exact float equality — both
-    sides sum the split denominator over sorted neighbors), the
-    memoized sorted node/edge tuples, the incremental source lists, and
-    the memoized signature.
-    """
-    pair = _searches_for_seed(seed)
-    if pair is None:
-        return
-    search, _ = pair
-    recorded = _record_tightened(search)
-    search.run()
-    bounds = search.bounds
-    match = search.match
-    for cand in recorded[:RECHECK_CAP]:
-        assert cand.sorted_nodes == tuple(sorted(cand.tree.nodes))
-        assert cand.sorted_edges == tuple(sorted(cand.tree.edges))
-        assert cand.sources(match) == tuple(cand.tree.non_free_nodes(match))
-        assert cand.signature() == (cand.root, cand.tree)
-        assert cand.transfer is not None, (
-            "search-built candidates must carry transfer factors"
-        )
-        adj, tau = bounds._tree_transfer(cand.tree, cand.root)
-        assert set(cand.transfer) == set(cand.tree.nodes)
-        for node in adj:
-            incremental = dict(cand.transfer[node])
-            rebuilt = {nbr: tau[(node, nbr)] for nbr in adj[node]}
-            assert incremental == rebuilt, (
-                f"transfer factors diverge at node {node} "
-                f"(seed={seed}, cand={cand!r})"
-            )
-
-
-@given(seed=st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
-def test_fast_bound_matches_reference_bitwise(seed):
-    """``upper_bound`` == ``upper_bound_reference`` with no tolerance.
-
-    The fast path consumes the candidate's shared factor lists and the
-    per-root potential-estimate tables, but performs the same float
-    operations in the same order as the reference, so the results are
-    bitwise identical — any drift means the fast path changed the math,
-    not just the bookkeeping.
-    """
-    pair = _searches_for_seed(seed)
-    if pair is None:
-        return
-    search, _ = pair
-    recorded = _record_tightened(search)
-    search.run()
-    for cand in recorded[:RECHECK_CAP]:
-        fast = search.bounds.upper_bound(cand)
-        reference = search.bounds.upper_bound_reference(cand)
-        assert fast == reference, (
-            f"fast bound {fast!r} != reference {reference!r} "
-            f"(seed={seed}, cand={cand!r})"
-        )
-
-
-# ------------------------------------------------------ mutation testing
 
 
 class TestCheapBoundMutations:
@@ -226,7 +32,7 @@ class TestCheapBoundMutations:
         monkeypatch.setattr(
             BranchAndBoundSearch,
             "_cheap_bound",
-            lambda self, inherited, cand: 0.01 * real(self, inherited, cand),
+            lambda self, inherited: 0.01 * real(self, inherited),
         )
         with pytest.raises(DifferentialFailure):
             for seed in range(SWEEP):
@@ -247,8 +53,7 @@ class TestCheapBoundMutations:
         """
         real = BranchAndBoundSearch._cheap_bound
         BranchAndBoundSearch._cheap_bound = (
-            lambda self, inherited, cand:
-            4.0 * real(self, inherited, cand) + 1e-6
+            lambda self, inherited: 4.0 * real(self, inherited) + 1e-6
         )
         try:
             for seed in range(30):

@@ -1,17 +1,12 @@
 """The flat candidate arena: unit, parity, and mutation coverage.
 
-Four layers of the arena engine get falsifiable contracts here, on top
-of the ``arena-engine`` / ``object-engine`` legs already wired into
+Three layers of the search's candidate arena get falsifiable contracts
+here, on top of the ``branch-and-bound`` leg already wired into
 :func:`repro.testing.differential_check`:
 
 * **storage semantics** — append/mark/rollback reclaim exactly the
   region added since the mark, shared pools stay consistent, and
   ``column()`` exposes real zero-copy numpy views;
-* **engine parity** — the final ``AnytimeSnapshot.gap`` under the
-  arena is bitwise-equal to the object path's across seeded generator
-  cases, the two engines return the same top-k tie classes, and
-  ``arena_mark`` is the arena's high-water stamp (``None`` on the
-  object path);
 * **bound parity** — for every *tightened* arena row, rebuilding the
   candidate as an object tree (``CandidateTree.from_arena``) and
   running the from-scratch reference bound reproduces the arena's
@@ -54,8 +49,8 @@ from repro.utils.lru import LRUCache
 #: ``TestMutationsAreCaught`` in test_properties_differential.py).
 SWEEP = 80
 
-#: Seeds for the deterministic parity sweeps.
-PARITY_SEEDS = 25
+#: Seeds for the deterministic rollback sweep.
+ROLLBACK_SEEDS = 25
 
 #: Per-search cap on tightened rows re-checked against the reference
 #: bound (the reference recomputes transfer state from scratch).
@@ -66,16 +61,14 @@ RECHECK_CAP = 120
 PHASE_QUERY = "crimson electric"
 
 
-def _search_for_seed(seed: int, engine: str, **overrides):
-    """Build one lazy search (plus its match) for a generated case.
+def _search_for_seed(seed: int):
+    """Build one search (plus its match) for a generated case.
 
     Returns None when the case is trivial (unanalyzable or unmatchable
     query) — there is nothing to run.
     """
     case = random_case(seed)
-    params = dataclasses.replace(
-        case.params, strict_merge=False, engine=engine, **overrides
-    )
+    params = dataclasses.replace(case.params, strict_merge=False)
     system = CIRankSystem.from_database(
         case.db, weights=case.weights, search_params=params
     )
@@ -90,17 +83,6 @@ def _search_for_seed(seed: int, engine: str, **overrides):
         return None
     scorer = system.scorer_for(match)
     return BranchAndBoundSearch(system.graph, scorer, match, params), match
-
-
-def _tie_classes(answers):
-    """Maximal runs of exactly equal scores, as (score, tree set)."""
-    classes = []
-    for answer in answers:
-        if classes and classes[-1][0] == answer.score:
-            classes[-1][1].add(answer.tree)
-        else:
-            classes.append((answer.score, {answer.tree}))
-    return [(score, frozenset(trees)) for score, trees in classes]
 
 
 # -------------------------------------------------------------- storage
@@ -178,42 +160,7 @@ def test_arena_column_views_are_zero_copy():
         arena.column("cover")  # Python-list side column, not an array
 
 
-# --------------------------------------------------------- engine parity
-
-
-def test_snapshot_gap_parity_sweep():
-    """Arena and object final snapshots agree bitwise on the gap.
-
-    Both engines terminate through the same stop rule, so the final
-    certificate — ``gap = max(0, frontier - kth)`` — must be the same
-    float, and the returned answers the same tie classes.  The arena's
-    snapshots additionally carry the O(1) ``arena_mark`` stamp.
-    """
-    compared = 0
-    for seed in range(PARITY_SEEDS):
-        built_a = _search_for_seed(seed, "arena")
-        built_o = _search_for_seed(seed, "object")
-        if built_a is None or built_o is None:
-            continue
-        arena_search, _ = built_a
-        object_search, _ = built_o
-        a_snap = o_snap = None
-        for a_snap in arena_search.snapshots():
-            assert a_snap.arena_mark is not None
-            assert a_snap.arena_mark <= len(arena_search.last_arena)
-        for o_snap in object_search.snapshots():
-            assert o_snap.arena_mark is None
-        assert a_snap is not None and o_snap is not None
-        assert a_snap.gap == o_snap.gap, f"gap diverges (seed={seed})"
-        assert a_snap.proven_optimal == o_snap.proven_optimal
-        assert _tie_classes(a_snap.answers) == _tie_classes(o_snap.answers), (
-            f"arena and object top-k diverge (seed={seed})"
-        )
-        assert a_snap.arena_mark == len(arena_search.last_arena)
-        assert arena_search.stats.engine == "arena"
-        assert object_search.stats.engine == "object"
-        compared += 1
-    assert compared >= PARITY_SEEDS // 2, "sweep degenerated to trivia"
+# ---------------------------------------------------------- search runs
 
 
 def test_abandoned_run_publishes_arena_counters(tiny_dblp_system):
@@ -230,13 +177,12 @@ def test_abandoned_run_publishes_arena_counters(tiny_dblp_system):
     assert not snapshot.proven_optimal
     generator.close()
     stats = system.last_search_stats
-    assert stats.engine == "arena" and not stats.served_from_cache
+    assert not stats.served_from_cache
     assert stats.arena_candidates > 0
     assert stats.arena_peak_bytes > 0
 
 
-@pytest.mark.parametrize("engine", ["arena", "object"])
-def test_phase_timers_are_disjoint(tiny_imdb_system, engine):
+def test_phase_timers_are_disjoint(tiny_imdb_system):
     """The five ``SearchStats`` phase timers never overlap.
 
     On a query that tightens candidates at the heap head and scores
@@ -247,9 +193,7 @@ def test_phase_timers_are_disjoint(tiny_imdb_system, engine):
     """
     system = tiny_imdb_system
     match = system.matcher.match(PHASE_QUERY)
-    params = dataclasses.replace(
-        system.search_params, engine=engine, k=5, diameter=4
-    )
+    params = dataclasses.replace(system.search_params, k=5, diameter=4)
     search = BranchAndBoundSearch(
         system.graph, system.scorer_for(match), match, params
     )
@@ -272,8 +216,8 @@ def test_rollback_regions_never_reachable():
     the reclaimed region — run a sweep with the checks armed."""
     rolled_back = 0
     ran = 0
-    for seed in range(PARITY_SEEDS):
-        built = _search_for_seed(seed, "arena")
+    for seed in range(ROLLBACK_SEEDS):
+        built = _search_for_seed(seed)
         if built is None:
             continue
         search, _ = built
@@ -292,29 +236,33 @@ def test_rollback_regions_never_reachable():
 
 
 def test_tightened_ub_matches_reference_bound_bitwise():
-    """``arena.ub[cid]`` equals the object path's from-scratch bound.
+    """``arena.ub[cid]`` equals the from-scratch reference bound.
 
     For every tightened row (``fmap_start != NO_ID``) the candidate is
     rebuilt through the *validating* ``CandidateTree.from_arena`` and
-    re-bounded by ``UpperBoundEstimator.upper_bound`` with no shared
-    transfer state.  The arena's tighten pass performs the same float
-    operations in the same order, so equality is exact — any drift
-    means the arena changed the math, not just the bookkeeping.
+    re-bounded by ``UpperBoundEstimator.upper_bound`` on a fresh
+    estimator, so no factor list or bound memo is shared with the search.
+    ``arena_bound`` performs the same float operations in the same
+    order, so equality is exact — any drift means the arena changed
+    the math, not just the bookkeeping.
     """
     checked = 0
     for seed in range(12):
-        built = _search_for_seed(seed, "arena")
+        built = _search_for_seed(seed)
         if built is None:
             continue
         search, match = built
         search.run()
         arena = search.last_arena
+        reference_bounds = UpperBoundEstimator(
+            search.graph, search.scorer, semantics=search.params.semantics
+        )
         rechecked = 0
         for cid in range(len(arena)):
             if arena.fmap_start[cid] == NO_ID:
                 continue  # never tightened: ub is the cheap bound
             tree = CandidateTree.from_arena(arena, cid, match)
-            reference = search.bounds.upper_bound(tree)
+            reference = reference_bounds.upper_bound(tree)
             assert reference == arena.ub[cid], (
                 f"tight bound drifts from the reference "
                 f"(seed={seed} cid={cid})"

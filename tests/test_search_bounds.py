@@ -28,6 +28,15 @@ from repro.search.bounds import UpperBoundEstimator
 from .conftest import make_query_env, random_test_graph
 
 
+def completion_impossible(estimator, cand, match, max_diameter):
+    """The search's distance prune, applied to an object candidate."""
+    missing = [k for k in match.keywords if k not in cand.covered]
+    return estimator.completion_impossible(
+        cand.root, cand.depth, sorted(cand.tree.nodes), missing,
+        max_diameter,
+    )
+
+
 def rooted_subtrees(tree: JoinedTupleTree, match):
     """All candidate-shaped subtrees of an answer tree.
 
@@ -110,7 +119,7 @@ class TestCompletionImpossible:
         match.per_keyword["berry"] = set()
         estimator = UpperBoundEstimator(chain_graph, scorer, None)
         cand = CandidateTree.initial(0, match)
-        assert estimator.completion_impossible(cand, max_diameter=4)
+        assert completion_impossible(estimator, cand, match, max_diameter=4)
 
     def test_distance_pruning_with_index(self, chain_graph):
         _, match, scorer = make_query_env(chain_graph, "apple berry")
@@ -118,20 +127,26 @@ class TestCompletionImpossible:
         estimator = UpperBoundEstimator(chain_graph, scorer, pairs)
         cand = CandidateTree.initial(0, match)
         # berry node (3) is 3 hops away: diameter 2 cannot be met
-        assert estimator.completion_impossible(cand, max_diameter=2)
-        assert not estimator.completion_impossible(cand, max_diameter=3)
+        assert completion_impossible(estimator, cand, match, max_diameter=2)
+        assert not completion_impossible(
+            estimator, cand, match, max_diameter=3
+        )
 
     def test_without_index_no_distance_pruning(self, chain_graph):
         _, match, scorer = make_query_env(chain_graph, "apple berry")
         estimator = UpperBoundEstimator(chain_graph, scorer, None)
         cand = CandidateTree.initial(0, match)
-        assert not estimator.completion_impossible(cand, max_diameter=2)
+        assert not completion_impossible(
+            estimator, cand, match, max_diameter=2
+        )
 
     def test_complete_candidate_never_pruned(self, chain_graph):
         _, match, scorer = make_query_env(chain_graph, "apple")
         estimator = UpperBoundEstimator(chain_graph, scorer, None)
         cand = CandidateTree.initial(0, match)
-        assert not estimator.completion_impossible(cand, max_diameter=0)
+        assert not completion_impossible(
+            estimator, cand, match, max_diameter=0
+        )
 
 
 class TestBoundTightness:

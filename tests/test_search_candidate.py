@@ -115,9 +115,11 @@ class TestCompleteness:
         assert not cand.is_answer(match, max_diameter=4)
 
     def test_signature_identity(self, env):
+        """Identical grow chains give the same hashable (root, tree)."""
         a = CandidateTree.initial(1, env).grow(0, env)
         b = CandidateTree.initial(1, env).grow(0, env)
-        assert a.signature() == b.signature()
+        assert (a.root, a.tree) == (b.root, b.tree)
+        assert hash((a.root, a.tree)) == hash((b.root, b.tree))
 
 
 class TestDiameterBookkeeping:

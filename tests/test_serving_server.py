@@ -148,9 +148,9 @@ class TestValidation:
         {"query": "x", "k": True},                # bool masquerading
         {"query": "x", "diameter": -1},           # bad diameter
         {"query": "x", "deadline_ms": -5},        # bad deadline
-        {"query": "x", "engine": "warp"},         # unknown engine
+        {"query": "x", "engine": "arena"},        # retired field
         {"query": "x", "frobnicate": 1},          # unknown field
-        {"query": "x", "engine": "sharded"},      # retired engine
+        {"query": "x", "engine": "sharded"},      # retired field
     ])
     def test_bad_payloads_are_400(self, server, client, payload):
         with pytest.raises(ServingRequestFailed) as excinfo:
@@ -180,12 +180,13 @@ class TestValidation:
         for payload in (
             {"query": ""},
             {"query": "x", "engine": "sharded"},
+            {"query": "x", "engine": "arena"},
             {"query": ""},
         ):
             with pytest.raises(ServingRequestFailed):
                 client._request("POST", "/search", payload)
         after = client.stats()
-        assert after["rejected"] == before["rejected"] + 3
+        assert after["rejected"] == before["rejected"] + 4
         assert after["received"] == before["received"]
 
 
@@ -370,8 +371,8 @@ class TestPlanAdoption:
         payload = daemon.stats_payload()
         assert payload["plan"]["path"] == "/etc/cirank/plan.json"
         assert (
-            payload["plan"]["engine"]
-            == tiny_dblp_system.search_params.engine
+            payload["plan"]["diameter"]
+            == tiny_dblp_system.search_params.diameter
         )
         assert "cirank_plan_applied 1" in daemon.metrics_text()
 
