@@ -51,7 +51,7 @@ def test_capture_replay_smoke():
     mix = build_mix(queries, TOTAL_REQUESTS, 0.5, seed=17)
 
     params = ServingParams(
-        port=0, workers=4, max_wait_ms=1.0, capture_path=capture
+        port=0, workers=4, capture_path=capture
     )
     with InProcessServer(system, params) as server:
         report = run_load(
@@ -76,7 +76,7 @@ def test_capture_replay_smoke():
     # ---- replay at 2x against a fresh server (no capture this time)
     replay_system = _fresh_system(answer_cache_size=64)
     with InProcessServer(
-        replay_system, ServingParams(port=0, workers=4, max_wait_ms=1.0)
+        replay_system, ServingParams(port=0, workers=4)
     ) as server:
         replay_report = replay(
             server.host,

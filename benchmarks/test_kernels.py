@@ -123,9 +123,9 @@ def _bench_message_passing(system) -> Dict[str, float]:
         for kernel, (tree, gens) in zip(kernels, cases):
             pass_messages_batch(graph, tree, gens, rate, kernel=kernel)
 
-    # Production pattern: kernels are compiled once per tree and reused
-    # from the scorer's LRU; compile time is charged to the batched side
-    # as a one-off before its timed repetitions.
+    # Kernels are compiled once per tree (the scorer's tree-score LRU
+    # keeps a tree from being scored twice); compile time is charged to
+    # the batched side as a one-off before its timed repetitions.
     compile_start = time.perf_counter()
     kernels = [TreeMessageKernel(graph, tree, rate) for tree, _ in cases]
     compile_time = time.perf_counter() - compile_start

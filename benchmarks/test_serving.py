@@ -148,7 +148,7 @@ def _tie_classes_wire(answers):
 
 def _run_mix(system: CIRankSystem, mix, dedup: bool, deadline_ms=None):
     params = ServingParams(
-        port=0, workers=4, max_wait_ms=1.0, dedup=dedup, heartbeat=4
+        port=0, workers=4, dedup=dedup, heartbeat=4
     )
     with InProcessServer(system, params) as server:
         report = run_load(
@@ -212,7 +212,7 @@ def _bench_overhead() -> Dict[str, object]:
 
     def leg(obs: bool):
         params = ServingParams(
-            port=0, workers=4, max_wait_ms=1.0, heartbeat=4,
+            port=0, workers=4, heartbeat=4,
             trace=obs, metrics=obs,
         )
         with InProcessServer(system, params) as server:
@@ -247,7 +247,7 @@ def _bench_exactness() -> Dict[str, object]:
         query: _tie_classes_direct(system.search(query, k=5))
         for query in queries
     }
-    params = ServingParams(port=0, workers=2, max_wait_ms=0.0)
+    params = ServingParams(port=0, workers=2)
     checked = 0
     with InProcessServer(system, params) as server:
         with ServingClient(server.host, server.port) as client:

@@ -28,7 +28,7 @@ and persists a deployment; ``export`` writes the data graph as GraphML;
 across worker processes) and ``index info`` inspects one without
 loading it — ``search --index-path`` then warm-starts from it.
 ``serve`` runs the long-lived asyncio front end (single-flight dedup,
-query batching, deadline-bounded anytime answers — ``docs/SERVING.md``)
+a worker pool, deadline-bounded anytime answers — ``docs/SERVING.md``)
 and ``client`` talks to it.  ``stats`` scrapes a running daemon's
 counters, ``/metrics`` exposition, slow-query span trees, or (with
 ``--plan``) the planner's feature summary; ``replay`` re-fires a
@@ -345,18 +345,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         system.attach_index(args.index_kind, path=args.index_path)
     elif args.star_index and system.graph_index is None:
         system.build_star_index()
-    plan_doc = None
     if args.plan:
         import json as json_module
         with open(args.plan, "r", encoding="utf-8") as handle:
-            plan_doc = json_module.load(handle)
-        system.apply_plan(plan_doc)
+            system.apply_plan(json_module.load(handle))
     params = ServingParams(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         deadline_ms=args.deadline_ms,
         heartbeat=args.heartbeat,
         dedup=not args.no_dedup,
@@ -366,18 +362,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_query_ms=args.slow_query_ms,
         metrics=not args.no_metrics,
         capture_path=args.capture_path,
+        plan=args.plan,
     )
-    if plan_doc is not None:
-        # The plan's serving knobs (workers, batching) override the
-        # flag values — the planner validated that combination.
-        from .planner import PlanCandidate
-        chosen = PlanCandidate.from_dict(
-            plan_doc.get("chosen_config", plan_doc)
-        )
-        import dataclasses
-        params = dataclasses.replace(
-            chosen.serving_params(params), plan=args.plan,
-        )
 
     async def run() -> None:
         server = ServingServer(CIRankDaemon(system, params))
@@ -606,7 +592,6 @@ def _plan_from_capture(args: argparse.Namespace):
         max_candidates=args.max_candidates,
         rounds=args.rounds,
         budget=args.budget or None,
-        transport=args.transport,
         concurrency=args.concurrency,
         probe=args.probe,
     )
@@ -769,14 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="executor threads running searches",
     )
     p_serve.add_argument(
-        "--max-batch-size", type=int, default=8,
-        help="max queries dispatched to the pool as one batch",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="how long a forming batch waits for companions",
-    )
-    p_serve.add_argument(
         "--deadline-ms", type=float, default=0.0,
         help="default per-query deadline (0 = run to proven optimality)",
     )
@@ -821,9 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--plan", default="",
         help="planner report JSON (cirank plan --apply) to adopt at "
-             "startup; its search knobs apply to the system and its "
-             "serving knobs override --workers/--max-batch-size/"
-             "--max-wait-ms",
+             "startup; its search knobs apply to the system, and the "
+             "serving flags stay as given",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -943,11 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument(
         "--budget", type=int, default=0,
         help="replayed-request ceiling (0 = the whole capture)",
-    )
-    p_plan.add_argument(
-        "--transport", choices=("direct", "http"), default="direct",
-        help="measurement path: threaded in-process search, or a "
-             "per-leg in-process server with socket replay",
     )
     p_plan.add_argument("--concurrency", type=int, default=4)
     p_plan.add_argument(

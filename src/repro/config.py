@@ -11,7 +11,7 @@ Four dataclasses gather every tunable the system exposes:
 * :class:`EdgeWeights` — the per-edge-type weights of Table II, plus helpers
   to register additional link types.
 * :class:`ServingParams` — the asyncio serving front end's knobs
-  (:mod:`repro.serving`): bind address, worker pool size, batching,
+  (:mod:`repro.serving`): bind address, worker pool size,
   single-flight dedup, and per-query deadlines.
 
 All paper-level values default to the paper's choices (``alpha = 0.15``,
@@ -116,10 +116,6 @@ class ServingParams:
         port: TCP port (0 = ephemeral, reported after bind).
         workers: executor threads searching concurrently; the event loop
             itself never runs a search.
-        max_batch_size: queries dispatched to one worker as a batch (the
-            batch shares a thread handoff and arrives with warm caches).
-        max_wait_ms: how long a forming batch waits for companions once
-            its first query arrived (0 dispatches immediately).
         deadline_ms: default per-query deadline; 0 runs every search to
             proven completion.  Requests can override per call.
         heartbeat: anytime-snapshot cadence (queue pops between
@@ -151,8 +147,8 @@ class ServingParams:
         capture_backups: rotated generations kept (``.1`` … ``.N``).
         plan: path of the planner report this deployment adopted at
             startup (``cirank serve --plan``; :mod:`repro.planner`).
-            Informational — the knobs themselves are already folded
-            into this object and the system's ``SearchParams`` — but it
+            Informational — a plan sets search-side knobs only, and
+            those are already applied to the system — but it
             surfaces in ``/stats`` and the ``cirank_plan_applied``
             gauge so operators can see *which* plan is live.
     """
@@ -160,8 +156,6 @@ class ServingParams:
     host: str = "127.0.0.1"
     port: int = 8377
     workers: int = 4
-    max_batch_size: int = 8
-    max_wait_ms: float = 2.0
     deadline_ms: float = 0.0
     heartbeat: int = 16
     dedup: bool = True
@@ -180,14 +174,6 @@ class ServingParams:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError(f"workers must be >= 1, got {self.workers}")
-        if self.max_batch_size < 1:
-            raise ReproError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_wait_ms < 0:
-            raise ReproError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
         if self.deadline_ms < 0:
             raise ReproError(
                 f"deadline_ms must be >= 0, got {self.deadline_ms}"

@@ -68,7 +68,7 @@ class BadRequestError(ServingError):
     """A client request is malformed (unparseable, missing fields...).
 
     The HTTP front end maps this to a 400 response; the daemon raises it
-    before the request enters the dedup/batching pipeline, so rejected
+    before the request enters the dedup/execution pipeline, so rejected
     requests never disturb the serving counters' invariants.
     """
 

@@ -20,7 +20,6 @@ from .clock import Clock, ManualClock, SystemClock, get_clock, set_clock
 from .logconfig import configure_logging, parse_level
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
-    DEFAULT_SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -52,7 +51,6 @@ __all__ = [
     "configure_logging",
     "parse_level",
     "DEFAULT_LATENCY_BUCKETS_MS",
-    "DEFAULT_SIZE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",

@@ -7,7 +7,7 @@ Three metric kinds, the smallest set a serving system needs:
 * :class:`Gauge` — a point-in-time value that can move both ways
   (in-flight requests, cache size, answer-cache hit ratio);
 * :class:`Histogram` — fixed-bucket cumulative distribution (request
-  latency, gap at deadline, batch size).  Buckets are chosen at
+  latency, gap at deadline, arena bytes).  Buckets are chosen at
   registration and never change, so two scrapes are always comparable.
 
 Counters and gauges optionally take a ``fn`` callback: the value is
@@ -50,9 +50,6 @@ DEFAULT_LATENCY_BUCKETS_MS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
     500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
-
-#: Default buckets for small-count distributions (batch sizes).
-DEFAULT_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")

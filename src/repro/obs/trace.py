@@ -1,7 +1,7 @@
 """Query tracing: trace-id'd span trees with a slow-query ring buffer.
 
 A request entering the daemon opens a **root span**; each layer it
-crosses (single-flight, batcher, deadline loop, the search itself)
+crosses (single-flight, worker pool, deadline loop, the search itself)
 opens a **child span** under whatever span it was handed.  Spans carry
 attributes — the resolved deadline, the coalesced/cache-served verdict,
 every ``SearchStats`` phase timer — so one slow-query dump answers
@@ -15,12 +15,14 @@ Design constraints, in order:
    comparison, no allocation.  The serving benchmarks gate the enabled
    path too (p50 regression < 5%, ``benchmarks/test_serving.py``).
 2. **Explicit propagation.**  There is no thread-local "current span":
-   the serving stack crosses an event-loop→worker-thread boundary in
-   the batcher, where ambient context silently detaches.  The daemon
-   passes the span into the closures it builds; a child created on a
-   worker thread appends to its parent's ``children`` list, which is a
-   single ``list.append`` (atomic under the GIL — the only concurrent
-   mutation pattern we use).
+   the serving stack hops from the event loop to a worker thread, and
+   the tracer does not count on ambient context surviving the hop
+   (the daemon does copy the caller's ``contextvars`` across it, as
+   ``asyncio.to_thread`` does, for wrappers outside this module).  The
+   daemon passes the span into the closures it builds; a child created
+   on a worker thread appends to its parent's ``children`` list, which
+   is a single ``list.append`` (atomic under the GIL — the only
+   concurrent mutation pattern we use).
 3. **Bounded memory.**  Finished traces are dropped unless slow; slow
    ones are serialized into a ``deque(maxlen=ring_size)``, so the
    slow-query log can run for weeks without growing.

@@ -1,9 +1,9 @@
 """Plan candidates and the heuristic cost model that seeds them.
 
 A :class:`PlanCandidate` is one concrete configuration over the real
-knob space: a diameter cap, graph index
-kind/horizon, answer-cache capacity, and the serving pool/batching
-knobs.  Candidates are *deltas from the running configuration* — the
+knob space: a diameter cap, graph index kind/horizon and answer-cache
+capacity.  Serving knobs are not part of a plan.  Candidates are
+*deltas from the running configuration* — the
 :func:`reference_candidate` mirrors what the system has now, and the
 generator proposes variations the analyzer's features justify.
 
@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..config import SearchParams, ServingParams
+from ..config import SearchParams
 from .analyzer import WorkloadFeatures
 
 #: Answer-cache lookup cost (ms) — measured ~50µs, rounded up.
@@ -30,10 +30,6 @@ _HIT_MS = 0.1
 
 #: Duplicate fraction above which the answer cache is the main lever.
 _CACHE_LEVER_DUP = 0.3
-
-#: Duplicate fraction at or above which the mix is hit-dominated and
-#: dropping the batching wait is worth validating.
-_BATCH_WAIT_LEVER_DUP = 0.6
 
 #: Free-connector ratio above which a distance index is proposed.
 _INDEX_LEVER_RATIO = 0.3
@@ -51,9 +47,6 @@ class PlanCandidate:
     index_horizon: int = 8
     index_workers: int = 1
     answer_cache_size: int = 256
-    workers: int = 4
-    max_batch_size: int = 8
-    max_wait_ms: float = 2.0
     notes: Tuple[str, ...] = ()
 
     def search_params(self, base: SearchParams) -> SearchParams:
@@ -62,22 +55,12 @@ class PlanCandidate:
             return base
         return dataclasses.replace(base, diameter=self.diameter)
 
-    def serving_params(self, base: ServingParams) -> ServingParams:
-        """``base`` with this candidate's serving knobs applied."""
-        return dataclasses.replace(
-            base,
-            workers=self.workers,
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-        )
-
     def knobs(self) -> Tuple:
         """Structural identity (everything but name/notes) for dedup."""
         return (
             self.diameter, self.index_kind,
             self.index_horizon, self.index_workers,
-            self.answer_cache_size, self.workers, self.max_batch_size,
-            self.max_wait_ms,
+            self.answer_cache_size,
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -87,21 +70,18 @@ class PlanCandidate:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PlanCandidate":
-        # Unknown keys are dropped, among them the ``engine`` that plans
-        # written before the engine knob was removed carry.
+        # Unknown keys are dropped, among them the ``engine``,
+        # ``workers``, ``max_batch_size`` and ``max_wait_ms`` that older
+        # plans carry.
         known = {f.name for f in dataclasses.fields(cls)}
         kwargs = {k: v for k, v in payload.items() if k in known}
         kwargs["notes"] = tuple(kwargs.get("notes") or ())
         return cls(**kwargs)
 
 
-def reference_candidate(
-    system: Any,
-    serving: Optional[ServingParams] = None,
-) -> PlanCandidate:
+def reference_candidate(system: Any) -> PlanCandidate:
     """The candidate mirroring the system's current configuration."""
     params = system.search_params
-    serving = serving or ServingParams()
     index = system.graph_index
     index_kind = (
         _INDEX_CLASS_KIND.get(type(index).__name__)
@@ -115,9 +95,6 @@ def reference_candidate(
             getattr(index, "horizon", 8) if index is not None else 8
         ),
         answer_cache_size=system.answer_cache.stats().maxsize,
-        workers=serving.workers,
-        max_batch_size=serving.max_batch_size,
-        max_wait_ms=serving.max_wait_ms,
         notes=("the running configuration",),
     )
 
@@ -161,11 +138,7 @@ def estimate_cost(
     else:
         coverage = 0.0
     hit_rate = features.duplicate_fraction * coverage
-    cost = (1.0 - hit_rate) * cold_ms + hit_rate * _HIT_MS
-    # A forming batch waits for companions; pure overhead once the mix
-    # is hit-dominated.
-    cost += candidate.max_wait_ms * hit_rate * 0.5
-    return cost
+    return (1.0 - hit_rate) * cold_ms + hit_rate * _HIT_MS
 
 
 def generate_candidates(
@@ -227,19 +200,6 @@ def generate_candidates(
             notes=(
                 f"{features.free_connector_ratio:.0%} of arrivals need "
                 "free connectors; a star index prunes their expansion",
-            ),
-        ))
-
-    if (
-        features.duplicate_fraction >= _BATCH_WAIT_LEVER_DUP
-        and reference.max_wait_ms > 0
-    ):
-        proposals.append(dataclasses.replace(
-            reference,
-            name="no-batch-wait",
-            max_wait_ms=0.0,
-            notes=(
-                "hit-dominated mix; batching wait only adds latency",
             ),
         ))
 

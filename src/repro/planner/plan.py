@@ -23,15 +23,11 @@ The reference configuration is measured in every round and is never
 eliminated, so the final report always contains the baseline the
 speedup claim is relative to, and falling back to it is always safe.
 
-Two transports measure a leg:
-
-* ``"direct"`` — worker threads drive :meth:`CIRankSystem.search`
-  straight (no sockets); fast and deterministic, the default for tests
-  and offline planning;
-* ``"http"`` — an :class:`~repro.serving.loadgen.InProcessServer` is
-  started per leg and the capture replays over real sockets through
-  :func:`repro.obs.replay.replay`, so batching/dedup/worker knobs
-  participate in the measurement.
+A leg is measured in-process: worker threads drive the capture through
+:func:`~repro.serving.deadline.run_with_deadline` on the warm system,
+with no sockets.  Candidates differ only in search-side knobs (diameter,
+index, answer-cache size), so a socket path would add the same cost to
+every leg.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from dataclasses import dataclass, field
 from queue import Empty, SimpleQueue
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..config import ServingParams
 from ..exceptions import ReproError
 from ..obs.replay import tie_classes_direct
 from ..obs.workload import Workload
@@ -55,10 +50,6 @@ from .cost import (
     generate_candidates,
     reference_candidate,
 )
-
-#: Replay-rate multiplier for the http transport: effectively "as fast
-#: as the server absorbs", so a leg measures capacity, not idle time.
-HTTP_REPLAY_RATE = 1000.0
 
 #: Parity divergences recorded per candidate before truncating.
 _MAX_PARITY_FAILURES = 5
@@ -131,7 +122,6 @@ class PlanReport:
     validated: bool
     speedup: float
     why: List[str]
-    transport: str
     budget: int
     rounds: int
 
@@ -154,7 +144,6 @@ class PlanReport:
             "validated": self.validated,
             "speedup": self.speedup,
             "why": list(self.why),
-            "transport": self.transport,
             "budget": self.budget,
             "rounds": self.rounds,
         }
@@ -164,7 +153,8 @@ class PlanReport:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PlanReport":
-        # Reports written by older versions may carry retired features.
+        # Reports written by older versions may carry retired features
+        # and a ``transport`` key; both are ignored.
         known = {f.name for f in dataclasses.fields(WorkloadFeatures)}
         features = WorkloadFeatures(**{
             k: v for k, v in payload["features"].items() if k in known
@@ -180,7 +170,6 @@ class PlanReport:
             validated=payload.get("validated", False),
             speedup=payload.get("speedup", 1.0),
             why=list(payload.get("why", [])),
-            transport=payload.get("transport", "direct"),
             budget=payload.get("budget", 0),
             rounds=payload.get("rounds", 0),
         )
@@ -190,7 +179,7 @@ class PlanReport:
         lines = [self.features.render(), ""]
         lines.append(
             f"measured over {self.budget} replayed requests "
-            f"({self.transport} transport, {self.rounds} round(s)):"
+            f"({self.rounds} round(s)):"
         )
         rows = [self.reference] + self.candidates
         for result in rows:
@@ -367,60 +356,11 @@ def _measure_direct(
     }
 
 
-def _measure_http(
-    system: Any,
-    prefix: Sequence[Dict[str, Any]],
-    serving: ServingParams,
-    candidate: PlanCandidate,
-    concurrency: int,
-    deadline_ms: Optional[float] = None,
-) -> Dict[str, Any]:
-    """Replay ``prefix`` through a fresh in-process server.
-
-    The leg guardrail maps to the replay client's socket timeout:
-    a request slower than the deadline surfaces as a timeout error,
-    which the search loop treats as a leg timeout.
-    """
-    from ..obs.replay import replay
-    from ..serving.loadgen import InProcessServer
-
-    params = dataclasses.replace(
-        candidate.serving_params(serving), port=0, capture_path="",
-    )
-    timeout = 120.0 if deadline_ms is None else max(5.0, deadline_ms / 250.0)
-    with InProcessServer(system, params) as server:
-        report = replay(
-            server.host,
-            server.port,
-            list(prefix),
-            rate=HTTP_REPLAY_RATE,
-            concurrency=max(1, concurrency),
-            honor_deadlines=False,
-            timeout=timeout,
-        )
-    latency = report.latency_ms
-    return {
-        "requests": report.total_requests,
-        "elapsed_seconds": report.elapsed_seconds,
-        "throughput_qps": report.throughput_qps,
-        "p50_ms": latency.get("p50", float("nan")),
-        "p99_ms": latency.get("p99", float("nan")),
-        "errors": report.errors,
-        "timeouts": sum(
-            count
-            for name, count in report.error_classes.items()
-            if "timeout" in name.lower()
-        ),
-    }
-
-
 def _measure(
     system: Any,
     applier: _ConfigApplier,
     candidate: PlanCandidate,
     prefix: Sequence[Dict[str, Any]],
-    transport: str,
-    serving: ServingParams,
     concurrency: int,
     deadline_ms: Optional[float] = None,
 ) -> Dict[str, Any]:
@@ -429,10 +369,6 @@ def _measure(
     # replayed prefix itself, or a candidate measured second would
     # free-ride on its predecessor's warm entries.
     system.answer_cache.clear()
-    if transport == "http":
-        return _measure_http(
-            system, prefix, serving, candidate, concurrency, deadline_ms,
-        )
     return _measure_direct(system, prefix, concurrency, deadline_ms)
 
 
@@ -494,11 +430,9 @@ def plan_capture(
     system: Any,
     records: Sequence[Dict[str, Any]],
     *,
-    serving: Optional[ServingParams] = None,
     max_candidates: int = 6,
     rounds: int = 2,
     budget: Optional[int] = None,
-    transport: str = "direct",
     concurrency: int = 4,
     probe: int = 4,
     tracer: Optional[Any] = None,
@@ -511,16 +445,11 @@ def plan_capture(
         system: the warm deployment to measure against (its
             configuration is restored on return).
         records: raw capture records (``read_query_log`` output).
-        serving: base serving knobs for the http transport (and the
-            reference serving configuration the candidates are deltas
-            from).
         max_candidates: cap on generated candidates (reference excluded).
         rounds: successive-halving rounds; round ``i`` replays a
             ``budget / 2**(rounds-1-i)`` prefix and keeps the top half.
         budget: replayed-request ceiling (default: the whole capture).
-        transport: ``"direct"`` (threaded in-process search) or
-            ``"http"`` (in-process server + socket replay).
-        concurrency: client/worker threads per measurement leg.
+        concurrency: worker threads per measurement leg.
         probe: top query classes searched by the analyzer for observed
             diameters.
         tracer: optional :class:`repro.obs.trace.Tracer`; a ``plan``
@@ -535,15 +464,12 @@ def plan_capture(
         pass to :meth:`CIRankSystem.apply_plan` — it is either
         replay-validated parity-clean or the reference itself.
     """
-    if transport not in ("direct", "http"):
-        raise ReproError(f"unknown transport {transport!r}")
     if rounds < 1:
         raise ReproError(f"rounds must be >= 1, got {rounds}")
     ordered = sorted(records, key=lambda r: float(r.get("ts", 0.0)))
     if not ordered:
         raise ReproError("nothing to plan from: the capture is empty")
     total_budget = min(len(ordered), budget or len(ordered))
-    serving = serving or ServingParams(port=0)
     model = cost_model or estimate_cost
     span = tracer.start_span("plan") if tracer is not None else None
 
@@ -559,7 +485,7 @@ def plan_capture(
             })
             analyze_span.finish()
 
-        reference = reference_candidate(system, serving)
+        reference = reference_candidate(system)
         if candidates is None:
             pool = generate_candidates(
                 features, reference,
@@ -601,7 +527,7 @@ def plan_capture(
                 # for every candidate leg in this round.
                 ref_measurement = _measure(
                     system, applier, ref_result.candidate, prefix,
-                    transport, serving, concurrency,
+                    concurrency,
                 )
                 fold(ref_result, ref_measurement, round_no)
                 leg_deadline = _leg_deadline_ms(ref_measurement)
@@ -609,7 +535,7 @@ def plan_capture(
                 for result in survivors:
                     measurement = _measure(
                         system, applier, result.candidate, prefix,
-                        transport, serving, concurrency, leg_deadline,
+                        concurrency, leg_deadline,
                     )
                     fold(result, measurement, round_no)
                     if measurement.get("timeouts"):
@@ -714,7 +640,6 @@ def plan_capture(
             validated=True,
             speedup=speedup,
             why=why,
-            transport=transport,
             budget=total_budget,
             rounds=rounds,
         )
@@ -764,7 +689,6 @@ def plan_from_features(
         validated=False,
         speedup=1.0,
         why=why,
-        transport="none",
         budget=0,
         rounds=0,
     )

@@ -44,14 +44,15 @@ class RWMPScorer:
 
     Scoring runs on the vectorized fast path: each tree's message
     kernel (tree-local CSR slice, see
-    :class:`~repro.rwmp.messages.TreeMessageKernel`) is compiled once,
-    cached in a bounded LRU, and delivers all sources in one batched
-    pass — the dict-based :func:`~repro.rwmp.messages.pass_messages`
-    remains available as the reference oracle.
+    :class:`~repro.rwmp.messages.TreeMessageKernel`) is compiled and
+    delivers all sources in one batched pass — the dict-based
+    :func:`~repro.rwmp.messages.pass_messages` remains available as the
+    reference oracle.
 
-    Two bounded LRU caches back the scorer (both sized by
-    ``cache_size``): tree scores and compiled tree kernels.
-    :meth:`cache_stats` exposes their hit/miss/eviction counters
+    One bounded LRU (``cache_size`` entries) keeps tree scores, so a
+    tree is scored, and its kernel compiled, once while its score stays
+    cached.
+    :meth:`cache_stats` exposes its hit/miss/eviction counters
     (surfaced by the CLI's ``--stats`` flag).  Generation counts are a
     per-query constant of each node the search asks about — at most one
     per matched node — so they live in a plain dict that never evicts.
@@ -61,7 +62,7 @@ class RWMPScorer:
         index: inverted index (provides ``|v_i ∩ Q|`` and ``|v_i|``).
         match: the query's match sets.
         dampening: the dampening model (importance + parameters).
-        cache_size: LRU capacity per cache (0 disables caching).
+        cache_size: tree-score LRU capacity (0 disables caching).
     """
 
     def __init__(
@@ -76,10 +77,8 @@ class RWMPScorer:
         self.index = index
         self.match = match
         self.dampening = dampening
-        self._cache_size = cache_size
         self._generation: Dict[int, float] = {}
         self._tree_cache: LRUCache = LRUCache(cache_size)
-        self._kernel_cache: LRUCache = LRUCache(cache_size)
 
     # ------------------------------------------------------------ pieces
 
@@ -109,12 +108,8 @@ class RWMPScorer:
         return tree.non_free_nodes(self.match)
 
     def kernel_for(self, tree: JoinedTupleTree) -> TreeMessageKernel:
-        """The tree's compiled message kernel (LRU-cached)."""
-        kernel = self._kernel_cache.get(tree)
-        if kernel is None:
-            kernel = TreeMessageKernel(self.graph, tree, self.dampening.rate)
-            self._kernel_cache.put(tree, kernel)
-        return kernel
+        """The tree's compiled message kernel."""
+        return TreeMessageKernel(self.graph, tree, self.dampening.rate)
 
     def node_scores(self, tree: JoinedTupleTree) -> Dict[int, float]:
         """Equation (3) for every non-free node of ``tree``."""
@@ -155,10 +150,7 @@ class RWMPScorer:
 
     def cache_stats(self) -> Dict[str, CacheStats]:
         """Hit/miss/eviction snapshots of the scorer's caches."""
-        return {
-            "tree_score": self._tree_cache.stats(),
-            "tree_kernel": self._kernel_cache.stats(),
-        }
+        return {"tree_score": self._tree_cache.stats()}
 
 
 # ----------------------------------------------------------- straw men

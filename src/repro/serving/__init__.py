@@ -5,12 +5,11 @@ Layers (each its own module, composable without the ones above it):
 * :mod:`~repro.serving.stats` — thread-safe serving counters;
 * :mod:`~repro.serving.dedup` — single-flight coalescing of identical
   in-flight queries;
-* :mod:`~repro.serving.batching` — bounded worker pool with query
-  batching between the event loop and the executor threads;
 * :mod:`~repro.serving.deadline` — deadline-bounded anytime execution
   returning the best snapshot with its optimality ``gap``;
 * :mod:`~repro.serving.daemon` — the request pipeline owning one
-  :class:`~repro.system.CIRankSystem`;
+  :class:`~repro.system.CIRankSystem` and the worker pool its
+  searches run on;
 * :mod:`~repro.serving.server` / :mod:`~repro.serving.client` — the
   minimal HTTP/1.1 JSON protocol (stdlib only);
 * :mod:`~repro.serving.loadgen` — load generator + in-process server
@@ -24,7 +23,6 @@ See ``docs/SERVING.md`` for the architecture narrative and
 ``cirank serve`` / ``cirank client`` for the CLI entry points.
 """
 
-from .batching import QueryBatcher
 from .client import ServingClient, ServingRequestFailed
 from .daemon import CIRankDaemon, DrainingError
 from .deadline import DeadlineOutcome, run_with_deadline
@@ -46,7 +44,6 @@ __all__ = [
     "DrainingError",
     "InProcessServer",
     "LoadgenReport",
-    "QueryBatcher",
     "ServingClient",
     "ServingRequestFailed",
     "ServingServer",

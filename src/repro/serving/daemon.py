@@ -12,9 +12,9 @@ A request flows through three stages:
 1. **single-flight dedup** (:mod:`repro.serving.dedup`) — identical
    in-flight queries (same canonical answer-cache key *and* deadline)
    collapse into one execution whose result every waiter shares;
-2. **batching** (:mod:`repro.serving.batching`) — flight leaders are
-   grouped and dispatched to the bounded executor pool, so the event
-   loop never blocks on a search;
+2. **the worker pool** — each flight leader hops to a
+   :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers``
+   threads, so the event loop never blocks on a search;
 3. **deadline-bounded execution** (:mod:`repro.serving.deadline`) — the
    worker drives the anytime search and stops at the wall-clock budget,
    reporting the snapshot ``gap`` as the SLA field.
@@ -27,11 +27,11 @@ The daemon is also where observability (:mod:`repro.obs`) attaches:
 
 * every request gets a root **span** (``serve.search``) whose children
   — ``flight`` on the event loop, ``execute`` and ``search`` on the
-  worker thread — cross the batcher boundary by explicit passing, and
+  worker thread — cross the thread hop by explicit passing, and
   whose trace id rides in the response document;
 * the **metrics registry** mirrors the serving counters as
   function-backed Prometheus series and owns the latency /
-  gap-at-deadline / batch-size / arena-bytes histograms plus the
+  gap-at-deadline / arena-bytes histograms plus the
   per-phase search-time totals;
 * with ``capture_path`` set, every accepted request appends one record
   to the rotating **workload log**, extending the audit invariant to
@@ -40,18 +40,20 @@ The daemon is also where observability (:mod:`repro.obs`) attaches:
 
 from __future__ import annotations
 
+import asyncio
+import contextvars
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
 from ..config import ServingParams
 from ..exceptions import BadRequestError
 from ..model.answer import RankedAnswer
 from ..obs.clock import get_clock
-from ..obs.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NullTracer, Tracer
 from ..obs.workload import QueryLogWriter, capture_record
 from ..system import CIRankSystem
-from .batching import QueryBatcher
 from .deadline import DeadlineOutcome, run_with_deadline
 from .dedup import SingleFlight
 from .stats import COUNTER_FIELDS, ServingStats
@@ -122,13 +124,7 @@ class CIRankDaemon:
         if self.registry is not None:
             self._register_metrics()
         self.flights = SingleFlight()
-        self.batcher = QueryBatcher(
-            workers=self.params.workers,
-            max_batch_size=self.params.max_batch_size,
-            max_wait_ms=self.params.max_wait_ms,
-            stats=self.stats,
-            observe_batch=self._observe_batch,
-        )
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._draining = False
 
     @property
@@ -146,12 +142,15 @@ class CIRankDaemon:
         """
         compiled = self.system.graph.compiled()
         del compiled
-        await self.batcher.start()
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.params.workers,
+                thread_name_prefix="cirank-worker",
+            )
         logger.info(
-            "daemon started: workers=%d batch=%d/%.1fms dedup=%s "
+            "daemon started: workers=%d dedup=%s "
             "deadline_ms=%.0f trace=%s metrics=%s capture=%s",
-            self.params.workers, self.params.max_batch_size,
-            self.params.max_wait_ms, self.params.dedup,
+            self.params.workers, self.params.dedup,
             self.params.deadline_ms, self.params.trace,
             self.params.metrics, self.params.capture_path or "off",
         )
@@ -163,10 +162,17 @@ class CIRankDaemon:
         self._draining = True
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain in-flight flights, stop the pools."""
+        """Graceful shutdown: drain in-flight flights, stop the pool."""
         self.begin_drain()
         await self.flights.drain()
-        await self.batcher.stop()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # Waits for executions still running (dedup off leaves them
+            # outside the flight table); off-loop so the loop stays
+            # responsive while they finish.
+            await asyncio.get_running_loop().run_in_executor(
+                None, pool.shutdown
+            )
         if self.capture is not None:
             self.capture.close()
         logger.info(
@@ -224,8 +230,8 @@ class CIRankDaemon:
             async def fly() -> DeadlineOutcome:
                 # The flight span lives on the event loop; the execute
                 # span is its child *created on the worker thread* —
-                # trace propagation across the batcher boundary is
-                # explicit span passing, not ambient context.
+                # trace propagation across the thread hop is explicit
+                # span passing, not ambient context.
                 flight_span = (
                     span.child("flight") if span is not None else None
                 )
@@ -247,9 +253,16 @@ class CIRankDaemon:
                         if exec_span is not None:
                             exec_span.finish()
 
+                if self._pool is None:
+                    raise RuntimeError("daemon is not started")
                 self.stats.flight_started()
                 try:
-                    return await self.batcher.submit(execute)
+                    # The caller's context variables ride along, as with
+                    # asyncio.to_thread.  Cancelling the await before a
+                    # thread picks the work up cancels it.
+                    return await asyncio.get_running_loop().run_in_executor(
+                        self._pool, contextvars.copy_context().run, execute
+                    )
                 finally:
                     self.stats.flight_finished()
                     if flight_span is not None:
@@ -299,6 +312,9 @@ class CIRankDaemon:
     def stats_payload(self) -> Dict[str, Any]:
         """The ``/stats`` document."""
         payload = self.stats.as_dict()
+        # Every execution is dispatched alone.  perfbench/run.py still
+        # subtracts these two keys on every leg.
+        payload["batches"] = payload["batched_queries"] = payload["executed"]
         payload["draining"] = self._draining
         payload["answer_cache"] = self.system.answer_cache.stats().as_dict()
         payload["tracer"] = self.tracer.counters()
@@ -424,11 +440,6 @@ class CIRankDaemon:
             "Anytime gap certificate of deadline-hit executions.",
             buckets=_GAP_BUCKETS,
         )
-        self._batch_hist = reg.histogram(
-            "cirank_batch_size",
-            "Queries per batch dispatched to the worker pool.",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
         self._arena_hist = reg.histogram(
             "cirank_arena_peak_bytes",
             "Arena storage high-water mark per execution.",
@@ -439,11 +450,6 @@ class CIRankDaemon:
             "Cumulative seconds per search phase across executions.",
             labelnames=("phase",),
         )
-
-    def _observe_batch(self, size: int) -> None:
-        """Batcher hook: record one dispatched batch's size."""
-        if self.registry is not None:
-            self._batch_hist.observe(size)
 
     def _observe_outcome(
         self,

@@ -12,8 +12,6 @@ with closed-form invariants (checked by ``tests/test_serving_server.py``):
   waiters included); ``logged`` stays 0 with capture off;
 * ``cache_served <= executed`` — cache service is a property of an
   execution, counted once per flight, not per waiter;
-* ``batched_queries == executed`` — every execution went through the
-  batcher;
 * ``in_flight == 0`` at rest.
 
 ``rejected`` (malformed/oversized/draining requests) is deliberately
@@ -33,8 +31,6 @@ COUNTER_FIELDS = (
     "coalesced",
     "cache_served",
     "deadline_expired",
-    "batches",
-    "batched_queries",
     "rejected",
     "errors",
     "logged",
@@ -55,9 +51,6 @@ class ServingStats:
       running branch-and-bound.
     * ``deadline_expired`` — executions cut short by their deadline
       (anytime answer returned).
-    * ``batches`` / ``batched_queries`` — batches dispatched to the
-      worker pool and the queries they carried; ``max_batch`` tracks the
-      largest batch observed.
     * ``rejected`` — requests refused before the search path (malformed,
       oversized, draining).
     * ``errors`` — requests that failed with an internal error.
@@ -73,20 +66,11 @@ class ServingStats:
         self._counters: Dict[str, int] = {f: 0 for f in COUNTER_FIELDS}
         self.in_flight = 0
         self.peak_in_flight = 0
-        self.max_batch = 0
 
     def inc(self, field: str, amount: int = 1) -> None:
         """Increment one named counter."""
         with self._lock:
             self._counters[field] += amount
-
-    def record_batch(self, size: int) -> None:
-        """Account one dispatched batch of ``size`` queries."""
-        with self._lock:
-            self._counters["batches"] += 1
-            self._counters["batched_queries"] += size
-            if size > self.max_batch:
-                self.max_batch = size
 
     def flight_started(self) -> None:
         """A flight entered execution (in-flight gauge up)."""
@@ -111,5 +95,4 @@ class ServingStats:
             payload: Dict[str, Any] = dict(self._counters)
             payload["in_flight"] = self.in_flight
             payload["peak_in_flight"] = self.peak_in_flight
-            payload["max_batch"] = self.max_batch
         return payload

@@ -298,9 +298,11 @@ class CIRankSystem:
         changed, and attaches or detaches the graph index to match the
         plan.  Returns ``self`` for chaining.
 
-        Serving-side knobs (workers, batching) live on
-        :class:`~repro.config.ServingParams`; the daemon applies those
-        itself — see ``cirank serve --plan``.
+        A plan sets no serving knob: ``cirank serve --plan`` keeps the
+        worker count and every other serving flag as given.  Plans
+        written while candidates carried ``workers``,
+        ``max_batch_size`` and ``max_wait_ms`` still apply; those keys
+        are ignored.
         """
         # Local import: the planner imports config/obs, never this
         # module at import time, but keeping it lazy makes the facade

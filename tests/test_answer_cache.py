@@ -242,11 +242,18 @@ class TestCliStats:
     def test_stats_renders_answer_cache_section(self, capsys):
         from repro import DblpConfig, generate_dblp
 
-        db = generate_dblp(DblpConfig(seed=3))
-        token = _some_query(CIRankSystem.from_database(db))
+        system = CIRankSystem.from_database(
+            generate_dblp(DblpConfig(seed=3))
+        )
+        # A 1-match token at k 1: its one answer fills the top-k at
+        # once, so Lemma 1 prunes the rest of the search.
+        token = next(
+            t for t in sorted(system.index.vocabulary())
+            if len(system.index.matching_nodes(t)) == 1
+        )
         code = main([
             "search", "--dataset", "dblp", "--seed", "3",
-            "--query", token, "--stats",
+            "--query", token, "--k", "1", "--stats",
         ])
         printed = capsys.readouterr().out
         assert code == 0

@@ -46,16 +46,16 @@ class TestServingParsers:
         args = build_parser().parse_args(["serve"])
         assert args.port == 8377 and args.workers == 4
         assert args.deadline_ms == 0.0 and not args.no_dedup
-        assert args.max_batch_size == 8 and args.heartbeat == 16
+        assert args.heartbeat == 16
 
     def test_serve_flags(self):
         args = build_parser().parse_args([
             "serve", "--port", "0", "--workers", "2", "--no-dedup",
-            "--deadline-ms", "50", "--max-wait-ms", "0",
+            "--deadline-ms", "50",
             "--load", "/tmp/dep", "--drain-seconds", "3",
         ])
         assert args.port == 0 and args.workers == 2 and args.no_dedup
-        assert args.deadline_ms == 50.0 and args.max_wait_ms == 0.0
+        assert args.deadline_ms == 50.0
         assert args.load == "/tmp/dep" and args.drain_seconds == 3.0
 
     def test_client_requires_an_action(self):
@@ -147,20 +147,31 @@ class TestPlannerParsers:
     def test_plan_flags(self):
         args = build_parser().parse_args([
             "plan", "--log", "/tmp/cap.jsonl", "--max-candidates", "3",
-            "--rounds", "1", "--budget", "64", "--transport", "http",
+            "--rounds", "1", "--budget", "64",
             "--concurrency", "2", "--report", "/tmp/r.json",
             "--apply", "/tmp/p.json", "--json",
         ])
         assert args.log == "/tmp/cap.jsonl" and args.max_candidates == 3
         assert args.rounds == 1 and args.budget == 64
-        assert args.transport == "http" and args.concurrency == 2
+        assert args.concurrency == 2
         assert args.report == "/tmp/r.json" and args.apply == "/tmp/p.json"
         assert args.json
 
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan", "--from-stats"])
-        assert args.from_stats and args.transport == "direct"
+        assert args.from_stats
         assert args.rounds == 2 and args.budget == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--max-wait-ms", "0"],
+        ["serve", "--max-batch-size", "8"],
+        ["plan", "--log", "/tmp/cap.jsonl", "--transport", "http"],
+    ])
+    def test_retired_serving_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_accepts_a_plan(self):
         args = build_parser().parse_args(["serve", "--plan", "/tmp/p.json"])
@@ -174,49 +185,94 @@ class TestPlannerParsers:
             build_parser().parse_args(["stats", "--plan", "--metrics"])
 
 
+def _plan_a_capture(tmp_path, capsys):
+    """Save a DBLP deployment, capture four queries, run cirank plan.
+
+    Returns the loaded deployment, its directory, the applicable plan
+    path and the plan command's output.  The captured queries are
+    1-match tokens searched at k 1: at a larger k they can never fill
+    the top-k, so Lemma 1 never prunes and each search exhausts the
+    D=4 space.
+    """
+    out = tmp_path / "deployment"
+    assert main([
+        "save", "--dataset", "dblp", "--seed", "3", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+
+    from repro.storage import load_system
+    system = load_system(out)
+    tokens = [
+        t for t in sorted(system.index.vocabulary())
+        if len(system.index.matching_nodes(t)) == 1
+    ][:4]
+    log = tmp_path / "capture.jsonl"
+    with open(log, "w", encoding="utf-8") as handle:
+        ts = 100.0
+        for _ in range(2):
+            for token in tokens:
+                handle.write(json.dumps({
+                    "ts": ts, "query": token, "k": 1,
+                    "fingerprint": "f",
+                }) + "\n")
+                ts += 0.1
+
+    report_path = tmp_path / "report.json"
+    apply_path = tmp_path / "plan.json"
+    code = main([
+        "plan", "--log", str(log), "--load", str(out),
+        "--max-candidates", "2", "--rounds", "1",
+        "--concurrency", "2", "--probe", "1",
+        "--report", str(report_path), "--apply", str(apply_path),
+    ])
+    output = capsys.readouterr().out
+    assert code == 0
+    assert report_path.exists() and apply_path.exists()
+    return system, out, apply_path, output
+
+
 class TestPlanFlow:
     def test_capture_to_plan_to_adoptable_config(self, tmp_path, capsys):
-        out = tmp_path / "deployment"
-        assert main([
-            "save", "--dataset", "dblp", "--seed", "3", "--out", str(out),
-        ]) == 0
-        capsys.readouterr()
-
-        from repro.storage import load_system
-        system = load_system(out)
-        tokens = [
-            t for t in sorted(system.index.vocabulary())
-            if len(system.index.matching_nodes(t)) == 1
-        ][:4]
-        log = tmp_path / "capture.jsonl"
-        with open(log, "w", encoding="utf-8") as handle:
-            ts = 100.0
-            for _ in range(2):
-                for token in tokens:
-                    handle.write(json.dumps({
-                        "ts": ts, "query": token, "k": 3,
-                        "fingerprint": "f",
-                    }) + "\n")
-                    ts += 0.1
-
-        report_path = tmp_path / "report.json"
-        apply_path = tmp_path / "plan.json"
-        code = main([
-            "plan", "--log", str(log), "--load", str(out),
-            "--max-candidates", "2", "--rounds", "1",
-            "--concurrency", "2", "--probe", "1",
-            "--report", str(report_path), "--apply", str(apply_path),
-        ])
-        output = capsys.readouterr().out
-        assert code == 0
+        system, _, apply_path, output = _plan_a_capture(tmp_path, capsys)
         assert "chosen:" in output and "workload features" in output
-        assert report_path.exists() and apply_path.exists()
 
         # The emitted plan round-trips into a config the daemon adopts.
         with open(apply_path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         assert "chosen_config" in doc
         system.apply_plan(doc)
+
+    def test_served_plan_keeps_the_serving_flags(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serving
+
+        _, out, apply_path, _ = _plan_a_capture(tmp_path, capsys)
+        daemons = []
+
+        class RecordingServer:
+            """Keeps the daemon it is given; serves nothing."""
+
+            port = 0
+
+            def __init__(self, daemon):
+                daemons.append(daemon)
+
+            async def start(self):
+                pass
+
+            async def serve_until_shutdown(self):
+                pass
+
+        monkeypatch.setattr(repro.serving, "ServingServer", RecordingServer)
+        code = main([
+            "serve", "--load", str(out), "--plan", str(apply_path),
+            "--workers", "8", "--port", "0", "--log-level", "warning",
+        ])
+        assert code == 0
+        (daemon,) = daemons
+        assert daemon.params.workers == 8
+        assert daemon.params.plan == str(apply_path)
 
     def test_plan_with_empty_capture_fails(self, tmp_path, capsys):
         log = tmp_path / "empty.jsonl"

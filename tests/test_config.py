@@ -3,7 +3,12 @@
 import pytest
 
 from repro import EdgeWeights, ReproError, RWMPParams, SearchParams
-from repro.config import DEFAULT_ALPHA, DEFAULT_GROUP_SIZE, DEFAULT_TELEPORT
+from repro.config import (
+    DEFAULT_ALPHA,
+    DEFAULT_GROUP_SIZE,
+    DEFAULT_TELEPORT,
+    ServingParams,
+)
 
 
 class TestRWMPParams:
@@ -68,6 +73,20 @@ class TestSearchParams:
         """One bound evaluation (lazy) is left."""
         with pytest.raises(TypeError, match="lazy_bounds"):
             SearchParams(lazy_bounds=lazy)
+
+
+class TestServingParams:
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ReproError):
+            ServingParams(workers=0)
+
+    @pytest.mark.parametrize(
+        "knob", [{"max_wait_ms": 0.0}, {"max_batch_size": 8}]
+    )
+    def test_batching_knobs_rejected(self, knob):
+        """Each execution hops to the pool alone; nothing batches."""
+        with pytest.raises(TypeError, match=next(iter(knob))):
+            ServingParams(**knob)
 
 
 class TestEdgeWeights:

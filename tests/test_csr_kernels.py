@@ -350,4 +350,6 @@ class TestScorerFastPath:
         stats = scorer.cache_stats()
         assert stats["tree_score"].hits >= 1
         assert stats["tree_score"].misses >= 1
-        assert stats["tree_kernel"].misses >= 1
+        # Kernels are compiled per scored tree; the tree-score LRU in
+        # front of them is the only scorer cache.
+        assert set(stats) == {"tree_score"}

@@ -263,30 +263,37 @@ class TestExposition:
         assert labels["q"] == tricky and value == "1"
 
 
+def _daemon_families(system):
+    """Metric families a daemon exposes after serving one search."""
+    import asyncio
+
+    from repro.config import ServingParams
+    from repro.serving.daemon import CIRankDaemon
+
+    system.answer_cache.clear()
+    query = " ".join(sorted(system.index.vocabulary())[:2])
+
+    async def scenario():
+        daemon = CIRankDaemon(system, ServingParams(port=0, workers=1))
+        await daemon.start()
+        try:
+            await daemon.handle_search({"query": query})
+            return daemon.metrics_text()
+        finally:
+            await daemon.stop()
+
+    return _parse_exposition(asyncio.run(scenario()))
+
+
 class TestDaemonExposition:
     def test_arena_execution_exposes_no_shard_family(self, tiny_dblp_system):
-        import asyncio
-
-        from repro.config import ServingParams
-        from repro.serving.daemon import CIRankDaemon
-
-        system = tiny_dblp_system
-        system.answer_cache.clear()
-        query = " ".join(sorted(system.index.vocabulary())[:2])
-
-        async def scenario():
-            daemon = CIRankDaemon(
-                system, ServingParams(port=0, workers=1, max_wait_ms=0.0)
-            )
-            await daemon.start()
-            try:
-                await daemon.handle_search({"query": query})
-                return daemon.metrics_text()
-            finally:
-                await daemon.stop()
-
-        families = _parse_exposition(asyncio.run(scenario()))
+        families = _daemon_families(tiny_dblp_system)
         assert "cirank_arena_peak_bytes" in families
         assert not [
             name for name in families if name.startswith("cirank_shard")
         ]
+
+    def test_exposes_no_batching_family(self, tiny_dblp_system):
+        families = _daemon_families(tiny_dblp_system)
+        assert "cirank_executed_total" in families
+        assert not [name for name in families if "batch" in name]

@@ -1,9 +1,10 @@
 """Tests for span tracing: trees, sampling, the slow ring, propagation.
 
-The propagation test is the one the batcher exists to complicate: a
-span created on the event loop must parent the span created on the
-worker thread, and the whole tree — response ``trace_id`` included —
-must agree end to end over the real network path.
+The propagation tests cover the daemon's one thread hop: a span created
+on the event loop must parent the span created on the worker thread,
+and the whole tree — response ``trace_id`` included — must agree end
+to end over the real network path.  The hop also copies the caller's
+context variables into the worker, as ``asyncio.to_thread`` does.
 """
 
 import threading
@@ -131,7 +132,7 @@ class TestPropagationAcrossBatcherThreads:
     ):
         tiny_dblp_system.answer_cache.clear()
         params = ServingParams(
-            port=0, workers=2, max_wait_ms=1.0, slow_query_ms=0.0
+            port=0, workers=2, slow_query_ms=0.0
         )
         with InProcessServer(tiny_dblp_system, params) as server:
             query = _pick_query(tiny_dblp_system)
@@ -162,11 +163,49 @@ class TestPropagationAcrossBatcherThreads:
         execute = next(n for n in walk(root) if n["name"] == "execute")
         assert execute["children"], "execute must parent the search span"
 
+    def test_context_variables_ride_the_worker_hop(
+        self, tiny_dblp_system, monkeypatch
+    ):
+        import asyncio
+        import contextvars
+
+        from repro.serving import CIRankDaemon
+        from repro.serving import daemon as daemon_module
+
+        marker = contextvars.ContextVar("marker", default=None)
+        seen = []
+        real = daemon_module.run_with_deadline
+
+        def spy(*args, **kwargs):
+            seen.append((marker.get(), threading.current_thread().name))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "run_with_deadline", spy)
+        tiny_dblp_system.answer_cache.clear()
+        query = _pick_query(tiny_dblp_system, keywords=1)
+
+        async def scenario():
+            daemon = CIRankDaemon(
+                tiny_dblp_system, ServingParams(port=0, workers=1)
+            )
+            await daemon.start()
+            try:
+                marker.set("request-7")
+                await daemon.handle_search({"query": query, "k": 1})
+            finally:
+                await daemon.stop()
+
+        asyncio.run(scenario())
+        assert len(seen) == 1
+        value, thread_name = seen[0]
+        assert thread_name.startswith("cirank-worker")
+        assert value == "request-7", "the caller's context must cross"
+
     def test_concurrent_requests_get_distinct_trace_ids(
         self, tiny_dblp_system
     ):
         tiny_dblp_system.answer_cache.clear()
-        params = ServingParams(port=0, workers=2, max_wait_ms=0.0)
+        params = ServingParams(port=0, workers=2)
         ids = []
         errors = []
         with InProcessServer(tiny_dblp_system, params) as server:

@@ -155,7 +155,7 @@ class TestCaptureInvariant:
     ):
         tiny_dblp_system.answer_cache.clear()
         params = ServingParams(
-            port=0, workers=2, max_wait_ms=1.0,
+            port=0, workers=2,
             capture_path=str(tmp_path / "cap.jsonl"),
         )
         errors = []
@@ -192,7 +192,7 @@ class TestCaptureInvariant:
 
     def test_capture_off_keeps_logged_at_zero(self, tiny_dblp_system):
         tiny_dblp_system.answer_cache.clear()
-        params = ServingParams(port=0, workers=2, max_wait_ms=1.0)
+        params = ServingParams(port=0, workers=2)
         with InProcessServer(tiny_dblp_system, params) as server:
             query = _pick_queries(tiny_dblp_system, 1)[0]
             with ServingClient(server.host, server.port) as c:
@@ -209,7 +209,7 @@ class TestCaptureReplayParity:
         tiny_dblp_system.answer_cache.clear()
         capture = str(tmp_path / "cap.jsonl")
         params = ServingParams(
-            port=0, workers=2, max_wait_ms=1.0, capture_path=capture
+            port=0, workers=2, capture_path=capture
         )
         with InProcessServer(tiny_dblp_system, params) as server:
             queries = _pick_queries(tiny_dblp_system, 3)
@@ -268,7 +268,7 @@ class TestCaptureReplayParity:
         tiny_dblp_system.answer_cache.clear()
         capture = str(tmp_path / "cap.jsonl")
         params = ServingParams(
-            port=0, workers=2, max_wait_ms=1.0, capture_path=capture
+            port=0, workers=2, capture_path=capture
         )
         with InProcessServer(tiny_dblp_system, params) as server:
             query = _pick_queries(tiny_dblp_system, 1)[0]

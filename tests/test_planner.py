@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.config import SearchParams, ServingParams
+from repro.config import SearchParams
 from repro.datasets import DblpConfig, generate_dblp
 from repro.exceptions import ReproError
 from repro.obs.workload import Workload
@@ -158,11 +158,6 @@ class TestCandidateGeneration:
         names = {c.name for c in generate_candidates(features, REF)}
         assert "star-index" in names
 
-    def test_batch_wait_lever_fires_on_hit_dominated_mix(self):
-        features = _features(duplicate_fraction=0.9, unique_queries=50)
-        names = {c.name for c in generate_candidates(features, REF)}
-        assert "no-batch-wait" in names
-
     def test_limit_and_dedup(self):
         features = _features(
             duplicate_fraction=0.5, unique_queries=500,
@@ -201,24 +196,25 @@ class TestCostModel:
 
 class TestReferenceCandidate:
     def test_mirrors_running_configuration(self, plan_system):
-        reference = reference_candidate(
-            plan_system, ServingParams(workers=2),
-        )
+        reference = reference_candidate(plan_system)
         assert reference.diameter == plan_system.search_params.diameter
         assert reference.index_kind is None
         assert (
             reference.answer_cache_size
             == plan_system.answer_cache.stats().maxsize
         )
-        assert reference.workers == 2
 
     def test_round_trips_through_dict(self):
         candidate = PlanCandidate(
             name="x", diameter=3, index_kind="star", notes=("why",),
         )
         assert PlanCandidate.from_dict(candidate.as_dict()) == candidate
-        # Plans written while the engine was a knob name one.
-        legacy = dict(candidate.as_dict(), engine="object")
+        # Plans written while the engine and the serving pool were
+        # knobs name them.
+        legacy = dict(
+            candidate.as_dict(), engine="object", workers=2,
+            max_batch_size=8, max_wait_ms=2.0,
+        )
         assert PlanCandidate.from_dict(legacy) == candidate
 
     def test_from_dict_ignores_unknown_fields(self):
@@ -263,10 +259,12 @@ class TestPlanCapture:
             plan_capture(plan_system, [])
 
     def test_bad_transport_is_an_error(self, plan_system):
-        with pytest.raises(ReproError):
-            plan_capture(
-                plan_system, _records(QUERIES), transport="carrier-pigeon",
-            )
+        # Legs are measured in-process only; the argument is gone.
+        for transport in ("carrier-pigeon", "http", "direct"):
+            with pytest.raises(TypeError):
+                plan_capture(
+                    plan_system, _records(QUERIES), transport=transport,
+                )
 
     def test_leg_timeout_eliminates_pathological_candidate(
         self, plan_system, monkeypatch
@@ -300,8 +298,11 @@ class TestPlanCapture:
         # as older reports carry
         doc["features"]["graph_nodes"] = 548
         doc["features"]["engines"] = {"default": len(QUERIES)}
+        doc["transport"] = "http"
         for config in [doc["chosen_config"], doc["reference"]["candidate"]]:
-            config["engine"] = "arena"
+            config.update(
+                engine="arena", workers=4, max_batch_size=8, max_wait_ms=2.0,
+            )
         restored = PlanReport.from_dict(doc)
         assert restored.chosen == report.chosen
         assert restored.validated == report.validated
@@ -317,7 +318,7 @@ class TestPlanFromFeatures:
         features = _features(duplicate_fraction=0.8, unique_queries=500)
         report = plan_from_features(features, REF)
         assert not report.validated
-        assert report.transport == "none"
+        assert "transport" not in report.as_dict()
         assert any("NOT validated" in reason for reason in report.why)
         # Ranked by the cost model alone: the chosen candidate has the
         # cheapest estimate.
@@ -375,6 +376,14 @@ class TestApplyPlan:
         with pytest.raises(ReproError, match="engine"):
             fresh_system.apply_plan(payload)
         assert fresh_system.search_params == before
+
+    def test_applies_a_report_carrying_serving_knobs(self, fresh_system):
+        payload = {"transport": "http", "chosen_config": {
+            "name": "old", "answer_cache_size": 128, "workers": 8,
+            "max_batch_size": 8, "max_wait_ms": 0.0,
+        }}
+        fresh_system.apply_plan(payload)
+        assert fresh_system.answer_cache.stats().maxsize == 128
 
     @pytest.mark.parametrize("engine", ["arena", "object"])
     def test_applies_a_report_naming_a_former_engine(

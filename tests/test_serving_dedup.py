@@ -4,7 +4,8 @@ Covers the :class:`repro.serving.dedup.SingleFlight` primitive alone
 and wired into the daemon pipeline: N concurrent identical queries run
 exactly one search, every waiter receives a response tie-class-identical
 to a direct :meth:`CIRankSystem.search`, and a cancelled waiter never
-tears down the flight the others share.
+tears down the flight the others share.  Without dedup, a request
+cancelled before a pool thread picks up its execution never runs it.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class TestDaemonDedup:
             async def scenario():
                 daemon = CIRankDaemon(
                     system,
-                    ServingParams(port=0, workers=2, max_wait_ms=0.0),
+                    ServingParams(port=0, workers=2),
                 )
                 await daemon.start()
                 try:
@@ -237,7 +238,7 @@ class TestDaemonDedup:
             daemon = CIRankDaemon(
                 system,
                 ServingParams(
-                    port=0, workers=2, max_wait_ms=0.0, dedup=False
+                    port=0, workers=2, dedup=False
                 ),
             )
             await daemon.start()
@@ -263,7 +264,7 @@ class TestDaemonDedup:
 
         async def scenario():
             daemon = CIRankDaemon(
-                system, ServingParams(port=0, workers=2, max_wait_ms=0.0)
+                system, ServingParams(port=0, workers=2)
             )
             await daemon.start()
             try:
@@ -280,3 +281,53 @@ class TestDaemonDedup:
         stats = asyncio.run(scenario())
         # Same query, different SLA: two flights, zero coalescing.
         assert stats["executed"] == 2 and stats["coalesced"] == 0
+
+    def test_cancelled_request_skips_its_unstarted_execution(
+        self, tiny_dblp_system, monkeypatch
+    ):
+        import threading
+
+        from repro.serving import daemon as daemon_module
+
+        started, release = threading.Event(), threading.Event()
+        ran = []
+        real = daemon_module.run_with_deadline
+
+        def gated(system, query, **kwargs):
+            ran.append(query)
+            started.set()
+            release.wait(30)
+            return real(system, query, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "run_with_deadline", gated)
+        system = tiny_dblp_system
+        query = _pick_query(system, keywords=1)
+        system.answer_cache.clear()
+
+        async def scenario():
+            daemon = CIRankDaemon(
+                system, ServingParams(port=0, workers=1, dedup=False)
+            )
+            await daemon.start()
+            try:
+                payload = {"query": query, "k": 1}
+                leader = asyncio.ensure_future(daemon.handle_search(payload))
+                # The one pool thread is now busy with the leader.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, started.wait, 30
+                )
+                queued = asyncio.ensure_future(daemon.handle_search(payload))
+                await asyncio.sleep(0.05)
+                queued.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await queued
+                release.set()
+                await leader
+            finally:
+                release.set()
+                await daemon.stop()
+            return daemon.stats.as_dict()
+
+        stats = asyncio.run(scenario())
+        assert ran == [query], "the cancelled execution must never start"
+        assert stats["executed"] == 1 and stats["in_flight"] == 0
